@@ -28,12 +28,29 @@ import (
 	"cloudhpc/internal/usability"
 )
 
-// The full study is shared across benchmarks via core.CachedRunFull;
-// regenerating artifacts from the cached dataset is what each bench times
-// (plus the benches below that time the full study itself).
+// The full study is shared across benchmarks via the Runner's memory
+// tier; regenerating artifacts from the cached dataset is what each bench
+// times (plus the benches below that time the full study itself).
 func studyResults(b *testing.B) *core.Results {
 	b.Helper()
-	res, err := core.CachedRunFull(2025)
+	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(2025))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// computeStudy runs the default study at seed with the given execution
+// policy through a store-less Runner, flushing the memory tier first: the
+// timing benches reuse seeds across b.N rounds and sub-benchmarks, and
+// the spec hash ignores workers and granularity, so without the flush
+// every run after the first would time a map lookup.
+func computeStudy(b *testing.B, seed uint64, workers int, gran core.Granularity) *core.Results {
+	b.Helper()
+	core.FlushCachedRuns()
+	spec := core.DefaultSpec(seed)
+	spec.Workers, spec.Granularity = workers, gran
+	res, err := (&core.Runner{}).Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -73,14 +90,7 @@ func reportPeakRSS(b *testing.B) {
 // workers).
 func BenchmarkFullStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		st, err := core.New(uint64(2025 + i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := st.RunFull()
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := computeStudy(b, uint64(2025+i), 0, core.GranularityEnv)
 		b.ReportMetric(float64(len(res.Runs)), "runs")
 	}
 	reportPeakRSS(b)
@@ -94,15 +104,7 @@ func BenchmarkFullStudyWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st, err := core.New(uint64(2025 + i))
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.Opts.Workers = workers
-				res, err := st.RunFull()
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := computeStudy(b, uint64(2025+i), workers, core.GranularityEnv)
 				b.ReportMetric(float64(len(res.Runs)), "runs")
 			}
 		})
@@ -126,16 +128,7 @@ func BenchmarkFullStudyGranularity(b *testing.B) {
 		for _, workers := range []int{1, 4, 13, 32} {
 			b.Run(fmt.Sprintf("granularity=%s/workers=%d", gran, workers), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					st, err := core.New(uint64(2025 + i))
-					if err != nil {
-						b.Fatal(err)
-					}
-					st.Opts.Workers = workers
-					st.Opts.Granularity = gran
-					res, err := st.RunFull()
-					if err != nil {
-						b.Fatal(err)
-					}
+					res := computeStudy(b, uint64(2025+i), workers, gran)
 					b.ReportMetric(float64(len(res.Runs)), "runs")
 				}
 				reportPeakRSS(b)
@@ -553,7 +546,6 @@ func BenchmarkAutoscalingTradeoff(b *testing.B) {
 // scripts/bench_baseline.sh turns the pair into the BENCH_store.json
 // cold-vs-warm data point; compare the ratio, not the absolutes.
 func BenchmarkStudyStoreCold(b *testing.B) {
-	defer core.SetDefaultResultStore(nil)
 	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -562,10 +554,9 @@ func BenchmarkStudyStoreCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		rs.Logf = nil
-		core.SetDefaultResultStore(rs)
 		core.FlushCachedRuns()
 		b.StartTimer()
-		if _, err := core.CachedRunFull(2025); err != nil {
+		if _, err := (&core.Runner{Store: rs}).Run(context.Background(), core.DefaultSpec(2025)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -578,11 +569,10 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 		b.Fatal(err)
 	}
 	rs.Logf = nil
-	core.SetDefaultResultStore(rs)
-	defer core.SetDefaultResultStore(nil)
+	r := &core.Runner{Store: rs}
 	defer core.FlushCachedRuns()
 	core.FlushCachedRuns()
-	if _, err := core.CachedRunFull(2025); err != nil { // populate the store
+	if _, err := r.Run(context.Background(), core.DefaultSpec(2025)); err != nil { // populate the store
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -590,7 +580,7 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 		b.StopTimer()
 		core.FlushCachedRuns()
 		b.StartTimer()
-		if _, err := core.CachedRunFull(2025); err != nil {
+		if _, err := r.Run(context.Background(), core.DefaultSpec(2025)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -598,13 +588,13 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 }
 
 // BenchmarkRunnerStudyCold and BenchmarkRunnerStudySubscribed quantify
-// what the session layer costs. Cold is BenchmarkStudyStoreCold's exact
-// workload — full compute serialized into a fresh on-disk store — but
-// driven through a core.Runner session with no subscribers: the
-// acceptance bar is parity within noise (≤2%) of the store-cold number,
-// because unobserved sessions pay only atomic counters. Subscribed
-// attaches one actively-draining subscriber to the same workload, the
-// upper bound anyone pays for watching a study live.
+// what watching a session costs. Cold is BenchmarkStudyStoreCold's exact
+// workload — full compute serialized into a fresh on-disk store —
+// started as a session with no subscribers: it should read within noise
+// (≤2%) of the store-cold number, because unobserved sessions pay only
+// atomic counters. Subscribed attaches one actively-draining subscriber
+// to the same workload, the upper bound anyone pays for watching a study
+// live.
 // scripts/bench_baseline.sh turns the pair plus the store-cold
 // reference into BENCH_runner.json.
 func BenchmarkRunnerStudyCold(b *testing.B) {
@@ -616,7 +606,6 @@ func BenchmarkRunnerStudySubscribed(b *testing.B) {
 }
 
 func benchRunnerStudy(b *testing.B, subscribe bool) {
-	defer core.SetDefaultResultStore(nil)
 	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
@@ -665,7 +654,6 @@ func benchRunnerStudy(b *testing.B, subscribe bool) {
 // acquisition per unit, nothing more. scripts/bench_baseline.sh turns
 // the pair into BENCH_fleet.json.
 func BenchmarkFleetLocalFallback(b *testing.B) {
-	defer core.SetDefaultResultStore(nil)
 	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -121,7 +121,6 @@ func main() {
 		if rs, err = core.OpenResultStore(*store); err != nil {
 			cli.Fail("serve", err)
 		}
-		core.SetDefaultResultStore(rs)
 	}
 	runner := &core.Runner{Store: rs}
 	srv := &rpc.Server{

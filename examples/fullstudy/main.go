@@ -6,11 +6,11 @@
 // (study/env/unit started·finished·cached, injected incidents,
 // percent-complete from the partition plan), cooperative cancellation,
 // and Wait. Events are pure observation — the dataset is byte-identical
-// with or without subscribers. Runner.Run (and the CachedRunSpec
-// wrapper) memoizes one execution per canonical spec hash for the life
-// of the process and single-flights concurrent same-spec callers, so
-// asking for a dataset repeatedly — as this example, the root
-// benchmarks, and the cmd/ tools all do — pays for the simulation once.
+// with or without subscribers. Runner.Run memoizes one execution per
+// canonical spec hash for the life of the process and single-flights
+// concurrent same-spec callers, so asking for a dataset repeatedly — as
+// this example, the root benchmarks, and the cmd/ tools all do — pays
+// for the simulation once.
 package main
 
 import (
@@ -76,8 +76,7 @@ granularity env-app
 	// Slice 3: per-cloud spend (§3.4). The default spec at the same seed
 	// hashes identically to the spec above (granularity never enters the
 	// hash), so this second call returns the identical memoized dataset
-	// without re-running — Runner.Run blocks like the old CachedRunSpec,
-	// which still exists as exactly this wrapper.
+	// without re-running.
 	again, err := runner.Run(context.Background(), core.DefaultSpec(2025))
 	if err != nil {
 		log.Fatal(err)

@@ -68,12 +68,11 @@ func (f *StudyFlags) progressOn() bool {
 }
 
 // OpenStore resolves the -store flag: when set, it opens (creating if
-// needed) the on-disk result store and installs it as the process
-// default, so every study — cached or hand-built — reads and writes it.
-// It returns the store (nil when the flag is unset) for mains that also
+// needed) the on-disk result store that RunSpec hands to its Runner. It
+// returns the store (nil when the flag is unset) for mains that also
 // want the underlying registry (cmd/archive shares it to make the
-// archive durable). Spec calls it implicitly, so a main that only needs
-// the spec cannot forget the store; the first call wins.
+// archive durable). The first call wins; later calls, RunSpec's
+// included, return the same handle.
 func (f *StudyFlags) OpenStore() (*core.ResultStore, error) {
 	if f.storeOpened {
 		return f.storeHandle, nil
@@ -86,7 +85,6 @@ func (f *StudyFlags) OpenStore() (*core.ResultStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	core.SetDefaultResultStore(rs)
 	f.storeOpened = true
 	f.storeHandle = rs
 	return rs, nil
@@ -99,12 +97,6 @@ func (f *StudyFlags) OpenStore() (*core.ResultStore, error) {
 // reference unset — a spec's own plan, or its explicit "chaos none",
 // survives unrelated flag use.
 func (f *StudyFlags) Spec() (*core.StudySpec, error) {
-	// Honour -store before any study can run: resolving the spec is the
-	// one step every main performs, so the store can never be silently
-	// ignored by a main that forgets a second call.
-	if _, err := f.OpenStore(); err != nil {
-		return nil, err
-	}
 	spec, err := core.LoadSpec(*f.spec)
 	if err != nil {
 		return nil, err

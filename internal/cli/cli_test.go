@@ -101,9 +101,8 @@ func TestBadGranularityRejected(t *testing.T) {
 	}
 }
 
-// TestOpenStore covers the -store flag: unset means no store (and no
-// process default mutated); set opens/creates the directory and installs
-// the process default for CachedRunSpec.
+// TestOpenStore covers the -store flag: unset means no store; set
+// opens/creates the directory.
 func TestOpenStore(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs, "")
@@ -125,12 +124,57 @@ func TestOpenStore(t *testing.T) {
 	if err != nil || rs2 == nil {
 		t.Fatalf("-store %s: %v %v", dir, rs2, err)
 	}
-	t.Cleanup(func() { core.SetDefaultResultStore(nil) })
-	if core.DefaultResultStore() != rs2 {
-		t.Fatal("OpenStore did not install the process default")
-	}
 	if _, err := os.Stat(filepath.Join(dir, "blobs")); err != nil {
 		t.Fatalf("store directory not created: %v", err)
+	}
+}
+
+// TestRunSpecUsesStoreFlag: the -store handle reaches the Runner that
+// RunSpec builds. With the memory tier flushed between two runs of one
+// spec, the second must be a warm hit from the store, byte-identical to
+// the first.
+func TestRunSpecUsesStoreFlag(t *testing.T) {
+	dir := t.TempDir()
+	specFile := filepath.Join(dir, "small.spec")
+	if err := os.WriteFile(specFile, []byte("seed 660001\nenvs onprem-a-cpu\napps stream osu\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	f := Register(fs, "")
+	if err := fs.Parse([]string{"-spec", specFile, "-store", filepath.Join(dir, "store"), "-progress", "off"}); err != nil {
+		t.Fatal(err)
+	}
+	spec, err := f.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs, err := f.OpenStore()
+	if err != nil || rs == nil {
+		t.Fatalf("-store: %v %v", rs, err)
+	}
+	rs.Logf = t.Logf
+	defer core.FlushCachedRuns()
+
+	cold, err := f.RunSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rs.Stats(); s.StudyMisses != 1 || s.StudyHits != 0 {
+		t.Fatalf("cold run stats = %+v, want one study miss", s)
+	}
+	core.FlushCachedRuns()
+	warm, err := f.RunSpec(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rs.Stats(); s.StudyHits != 1 {
+		t.Fatalf("second run stats = %+v, want it served from the -store directory", s)
+	}
+	if warm == cold {
+		t.Fatal("second run came from the memory tier; the flush did not take")
+	}
+	if len(warm.Runs) != len(cold.Runs) || warm.Log.Render() != cold.Log.Render() {
+		t.Fatal("store-served dataset differs from the computed one")
 	}
 }
 

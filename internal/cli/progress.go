@@ -18,13 +18,17 @@ import (
 	"cloudhpc/internal/core"
 )
 
-// RunSpec executes spec through a core.Runner session: SIGINT/SIGTERM
-// cancel the run cooperatively (in-flight work drains, the store is
-// left consistent) and the shared progress feed renders on stderr per
-// the -progress flag. configure, when non-nil, adjusts non-spec options
+// RunSpec executes spec through a core.Runner session over the -store
+// flag's result store: SIGINT/SIGTERM cancel the run cooperatively
+// (in-flight work drains, the store is left consistent) and the shared
+// progress feed renders on stderr per the -progress flag. configure, when non-nil, adjusts non-spec options
 // (such runs bypass the cached study tiers). On interruption the error
 // satisfies IsInterrupt; mains report it via Fail.
 func (f *StudyFlags) RunSpec(spec *core.StudySpec, configure func(*core.Options)) (*core.Results, error) {
+	rs, err := f.OpenStore()
+	if err != nil {
+		return nil, err
+	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	stopProfiles, err := f.StartProfiles()
@@ -32,7 +36,7 @@ func (f *StudyFlags) RunSpec(spec *core.StudySpec, configure func(*core.Options)
 		return nil, err
 	}
 	defer stopProfiles()
-	r := &core.Runner{Configure: configure}
+	r := &core.Runner{Store: rs, Configure: configure}
 	sess, err := r.Start(ctx, spec)
 	if err != nil {
 		return nil, err

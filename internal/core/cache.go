@@ -1,9 +1,6 @@
 package core
 
-import (
-	"context"
-	"sync"
-)
+import "sync"
 
 // The cached-dataset layer is a three-tier pipeline driven by Runner:
 //
@@ -12,14 +9,14 @@ import (
 //	          whole-study bundles under "study/<hash>", and — during
 //	          compute — per-(env, app) unit artifacts under
 //	          "unit/<sub-hash>" for incremental reuse
-//	compute → one context-aware study execution (Study.runSession)
+//	compute → one context-aware study execution (study.runSession)
 //
 // Every consumer that only needs a given spec's dataset (the root
 // benchmark harness, cmd/figures, cmd/report, cmd/trace, the examples)
-// shares one execution per spec per process; with a store, one execution
-// per spec per store *across* processes, and a spec that shares (env,
-// app) units with a previously stored study recomputes only the units it
-// doesn't share.
+// runs it through a Runner and shares one execution per spec per
+// process; with a store, one execution per spec per store *across*
+// processes, and a spec that shares (env, app) units with a previously
+// stored study recomputes only the units it doesn't share.
 //
 // Keying by spec hash rather than by seed matters now that specs vary:
 // two different specs at the same seed (an env subset vs the full
@@ -63,35 +60,4 @@ func FlushCachedRuns() {
 	cacheMu.Lock()
 	cache = map[string]*cacheEntry{}
 	cacheMu.Unlock()
-}
-
-// CachedRunFull returns the default-spec study dataset for seed,
-// executing it on first use and memoizing it for the life of the process.
-// The returned Results are shared: treat them as read-only. Shorthand for
-// CachedRunSpec(DefaultSpec(seed)).
-func CachedRunFull(seed uint64) (*Results, error) {
-	return CachedRunSpec(DefaultSpec(seed))
-}
-
-// CachedRunSpec returns the study dataset for a spec through the
-// memory → store → compute tiers, using the process-default ResultStore
-// (none means memory → compute). The returned Results are shared: treat
-// them as read-only. It is a thin compatibility wrapper over Runner.Run
-// with a background context; callers that want cancellation, progress
-// events, or an injected logger use a Runner directly. Callers that need
-// non-spec Options (pauses, test clusters, budget aborts) set
-// Runner.Configure (or build a Study and call Run/RunFull themselves) —
-// such datasets depend on more than the spec and are never served from,
-// or saved to, the study tier (their unit draws still are: units depend
-// only on spec-sliced inputs). The first caller's Workers/Granularity
-// policy drives the one execution; since the dataset is policy-invariant,
-// later callers observe no difference.
-func CachedRunSpec(spec *StudySpec) (*Results, error) {
-	return (&Runner{}).Run(context.Background(), spec)
-}
-
-// cachedRunSpecIn is CachedRunSpec against an explicit store (nil
-// disables the persistent tier entirely, ignoring any process default).
-func cachedRunSpecIn(rs *ResultStore, spec *StudySpec) (*Results, error) {
-	return (&Runner{Store: rs, disableStore: rs == nil}).Run(context.Background(), spec)
 }

@@ -163,26 +163,17 @@ func TestCancellationMatrix(t *testing.T) {
 }
 
 // TestCancelBeforeStartReturnsImmediately: a context already cancelled
-// at Start never begins executing.
+// at Start never begins executing, and neither does a study handed one.
 func TestCancelBeforeStartReturnsImmediately(t *testing.T) {
 	t.Parallel()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := (&Runner{disableStore: true}).Start(ctx, DefaultSpec(990100)); !errors.Is(err, context.Canceled) {
+	if _, err := (&Runner{}).Start(ctx, DefaultSpec(990100)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Start with dead ctx = %v, want context.Canceled", err)
 	}
-	st, err := NewFromSpec(&StudySpec{Seed: 990101, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Store = nil
-	if _, err := st.Run(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("Study.Run with dead ctx = %v, want context.Canceled", err)
-	}
-	// A refused run never executed, so the study is not consumed: the
-	// same Study still runs cleanly with a live context.
-	if _, err := st.Run(context.Background()); err != nil {
-		t.Fatalf("Run after refused dead-ctx attempt = %v, want success", err)
+	st, _ := newTestStudy(t, &StudySpec{Seed: 990101, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1}, nil)
+	if _, err := st.runSession(ctx, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("runSession with dead ctx = %v, want context.Canceled", err)
 	}
 }
 
@@ -194,7 +185,7 @@ func TestCancelBeforeStartReturnsImmediately(t *testing.T) {
 func TestManyConcurrentSubscribersRace(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 990200, Workers: 8, Granularity: GranularityEnvApp}
-	r := &Runner{disableStore: true}
+	r := &Runner{}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

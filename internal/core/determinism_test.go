@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -9,25 +10,20 @@ import (
 
 // runWithWorkers executes a fresh study at the given seed and worker
 // count, with an optional chaos plan.
-func runWithWorkers(t *testing.T, seed uint64, workers int, plan *chaos.Plan) (*Study, *Results) {
+func runWithWorkers(t *testing.T, seed uint64, workers int, plan *chaos.Plan) (*study, *Results) {
 	t.Helper()
 	return runPartitioned(t, seed, workers, GranularityEnv, plan)
 }
 
 // runPartitioned executes a fresh study at the given seed, worker count,
 // and partitioning granularity, with an optional chaos plan.
-func runPartitioned(t *testing.T, seed uint64, workers int, gran Granularity, plan *chaos.Plan) (*Study, *Results) {
+func runPartitioned(t *testing.T, seed uint64, workers int, gran Granularity, plan *chaos.Plan) (*study, *Results) {
 	t.Helper()
-	st, err := New(seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Opts.Workers = workers
-	st.Opts.Granularity = gran
+	st, _ := newTestStudy(t, &StudySpec{Seed: seed, Workers: workers, Granularity: gran}, nil)
 	st.Opts.Chaos = plan
-	res, err := st.RunFull()
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
-		t.Fatalf("RunFull(workers=%d granularity=%s): %v", workers, gran, err)
+		t.Fatalf("run(workers=%d granularity=%s): %v", workers, gran, err)
 	}
 	return st, res
 }
@@ -35,7 +31,7 @@ func runPartitioned(t *testing.T, seed uint64, workers int, gran Granularity, pl
 // assertSameDataset asserts that two runs of the same (seed, plan) are
 // byte-identical: run records, derived tables, merged trace (timestamps
 // included), billing, incidents, and recovery accounting.
-func assertSameDataset(t *testing.T, workers int, baseStudy, st *Study, base, res *Results) {
+func assertSameDataset(t *testing.T, workers int, baseStudy, st *study, base, res *Results) {
 	t.Helper()
 	if len(res.Runs) != len(base.Runs) {
 		t.Fatalf("workers=%d: %d runs vs %d with workers=1", workers, len(res.Runs), len(base.Runs))

@@ -11,23 +11,24 @@
 // the execution policy (workers, granularity). DefaultSpec is the paper's
 // full 13×11×4×5 matrix; any other scenario is a different spec (built
 // programmatically or parsed from a line-oriented spec file via
-// ParseSpec/LoadSpec), not a code change. NewFromSpec materializes a spec
-// into a Study; New(seed) is the default-spec shorthand.
+// ParseSpec/LoadSpec), not a code change. Runner is the one way to run
+// a spec.
 //
 // # Execution model
 //
 // Execution follows a hierarchical work-partitioning plan. The study's
-// environments are mutually independent, so RunFull executes them as
+// environments are mutually independent, so a run executes them as
 // shards over a worker pool (Options.Workers, default runtime.NumCPU()).
 // Each shard owns a complete private substrate set — a sim.Simulation
 // (virtual clock, event queue, named RNG streams derived from the study's
 // root seed), a trace.Log, and its own meter, quota manager, provisioner,
 // builder, and registry — so no mutable state is shared between
-// concurrently running environments. At Options.Granularity ==
-// GranularityEnvApp each environment additionally fans out into one unit
-// per (environment, application) pair that precomputes the pure
-// model/hookup draws (see unit.go), lifting the parallelism cap from the
-// environment count to env×app.
+// concurrently running environments. Every shard consumes planned draws:
+// one unit per (environment, application) pair precomputes the pure
+// model/hookup draws (see unit.go). Options.Granularity decides only
+// whether those units run as their own pool tasks (GranularityEnvApp, or
+// any run with a result store), lifting the parallelism cap from the
+// environment count to env×app, or serially inside their shard.
 //
 // # Determinism
 //
@@ -38,35 +39,31 @@
 // coordinates, never on goroutine scheduling. The hierarchical merge
 // stitches units into environments in canonical application order and
 // shard results, logs, and charges into the study in the canonical matrix
-// order of Study.Envs, shifting each shard's virtual timestamps by the
-// summed duration of the shards before it — reconstructing one sequential
-// campaign timeline. The result: RunFull's dataset is byte-identical for
-// every worker count and granularity, and two runs with the same spec are
-// byte-identical full stop. Options.LegacyRunStreams restores the
-// pre-spec shared "core/run/<env>" stream naming so historical datasets
-// (the original seed-2025 golden) remain reproducible.
+// order of the spec's environments, shifting each shard's virtual
+// timestamps by the summed duration of the shards before it —
+// reconstructing one sequential campaign timeline. The result: a run's
+// dataset is byte-identical for every worker count and granularity, and
+// two runs with the same spec are byte-identical full stop.
 //
 // # Sessions and observability
 //
-// The public execution surface is Runner: Run(ctx, spec) blocks for the
+// The only execution surface is Runner: Run(ctx, spec) blocks for the
 // dataset, Start(ctx, spec) returns a Session — a subscribable event
 // stream (study/env/unit started·finished·cached, injected incidents,
 // plan progress), Progress counters, cooperative Cancel, and Wait.
 // Events are pure observation (no RNG draws, no ordering impact), so a
-// subscribed session is byte-identical to a blind RunFull; cancellation
-// stops dispatching new work, drains in-flight shards at scale/app
-// boundaries, and returns ctx's error without ever tearing the store
-// (artifact writes are atomic). Studies are one-shot: a second
-// Run/RunFull on the same Study returns ErrStudyConsumed.
+// subscribed session is byte-identical to an unobserved run;
+// cancellation stops dispatching new work, drains in-flight shards at
+// scale/app boundaries, and returns ctx's error without ever tearing the
+// store (artifact writes are atomic).
 //
 // # Caching and persistence
 //
-// Runner.Run (and the CachedRunSpec/CachedRunFull wrappers) resolves a
-// dataset through three tiers: a per-process memory map keyed by
-// canonical spec hash — single-flight, so concurrent same-spec callers
-// share one execution — a persistent content-addressed ResultStore
-// when one is configured (-store DIR via internal/cli, or
-// SetDefaultResultStore), and finally study execution. The store holds
+// Runner resolves a dataset through three tiers: a per-process memory
+// map keyed by canonical spec hash — single-flight, so concurrent
+// same-spec callers share one execution — a persistent content-addressed
+// ResultStore when Runner.Store is set (-store DIR via internal/cli), and
+// finally study execution. The store holds
 // whole-study bundles under "study/<spec-hash>" and per-(env, app) unit
 // outputs under "unit/<sub-hash>" (UnitKey); because a unit's sub-hash
 // covers only that unit's own inputs, a spec that edits one environment

@@ -4,7 +4,7 @@ package core
 // observable execution step; events are pure observation — emitting them
 // draws from no RNG stream, advances no clock, and never changes the
 // order any study work executes in, so a subscribed session produces a
-// dataset byte-identical to an unobserved RunFull (pinned by
+// dataset byte-identical to an unobserved run (pinned by
 // TestSessionIsPureObservation against the golden dataset).
 
 // EventKind names one observable execution step.

@@ -104,11 +104,7 @@ func goldenSnapshot(res *Results) string {
 //
 //	go test ./internal/core -run TestGoldenDataset -update
 func TestGoldenDataset(t *testing.T) {
-	res, err := CachedRunFull(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := goldenSnapshot(res)
+	got := goldenSnapshot(fullStudy(t))
 	path := filepath.Join("testdata", "golden_seed2025.txt")
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -140,57 +136,11 @@ func TestGoldenDataset(t *testing.T) {
 	t.Fatal("dataset drifted from golden file (length mismatch)")
 }
 
-// TestGoldenDatasetLegacyStreams pins the compatibility shim: with
-// Options.LegacyRunStreams the executor draws model/hookup noise from the
-// pre-spec shared "core/run/<env>" streams and must reproduce the
-// original (pre-StudySpec) seed-2025 golden dataset bit-for-bit. This is
-// the proof that the spec/partitioning refactor changed nothing beyond
-// the documented per-application stream split: every lifecycle stream —
-// scheduler, provisioner, chaos, audit — still draws identically.
-func TestGoldenDatasetLegacyStreams(t *testing.T) {
-	st, err := New(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Opts.LegacyRunStreams = true
-	res, err := st.RunFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := goldenSnapshot(res)
-	path := filepath.Join("testdata", "golden_seed2025_legacy.txt")
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("legacy golden file missing: %v", err)
-	}
-	if got != string(want) {
-		t.Fatal("legacy-stream dataset drifted from the pre-spec golden file; the compatibility shim is broken (this file is never regenerated — it pins history)")
-	}
-}
-
-// TestLegacyStreamsRejectUnitizedGranularity pins the documented
-// incompatibility: a shared sequential per-environment stream cannot be
-// split into (env, app) units.
-func TestLegacyStreamsRejectUnitizedGranularity(t *testing.T) {
-	st, err := New(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Opts.LegacyRunStreams = true
-	st.Opts.Granularity = GranularityEnvApp
-	if _, err := st.RunFull(); err == nil {
-		t.Fatal("LegacyRunStreams at GranularityEnvApp must be rejected")
-	}
-}
-
 // TestGoldenSnapshotStable guards the snapshot serializer itself: two
 // snapshots of the same shared dataset must be identical (no map-order
 // leaks in the serialization).
 func TestGoldenSnapshotStable(t *testing.T) {
-	res, err := CachedRunFull(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fullStudy(t)
 	if a, b := goldenSnapshot(res), goldenSnapshot(res); a != b {
 		t.Fatal("goldenSnapshot is not deterministic over one dataset")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cloudhpc/internal/trace"
@@ -16,11 +17,8 @@ import (
 func TestTable3SeedInvariant(t *testing.T) {
 	type table map[string][4]usability.Effort
 	snapshot := func(seed uint64) table {
-		st, err := New(seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := st.RunFull()
+		st, _ := newTestStudy(t, DefaultSpec(seed), nil)
+		res, err := st.runSession(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -17,25 +17,17 @@ import (
 type Options struct {
 	// Workers bounds the number of work units executing at once.
 	// Zero or negative means runtime.NumCPU(). The results do not depend on
-	// this value — only the wall-clock time of RunFull does.
+	// this value — only the wall-clock time of a run does.
 	Workers int
-	// Granularity selects the work-partitioning unit: GranularityEnv (the
-	// default) runs one unit per environment; GranularityEnvApp
-	// additionally fans every environment's model evaluations out into one
-	// precompute unit per (environment, application) pair, lifting the
-	// parallelism cap from the environment count to env×app. The dataset
-	// is byte-identical for every granularity — only wall-clock changes.
+	// Granularity selects where the (environment, application) units run:
+	// GranularityEnv (the default) plans each environment's units serially
+	// inside its shard; GranularityEnvApp dispatches every unit as its own
+	// pool task, lifting the parallelism cap from the environment count to
+	// env×app. A study with a result store attached always dispatches
+	// units as pool tasks. Every shard consumes the same planned draws
+	// either way, so the dataset is byte-identical for every granularity —
+	// only wall-clock changes.
 	Granularity Granularity
-	// LegacyRunStreams is the stream-naming compatibility shim: it restores
-	// the pre-spec executor's single shared "core/run/<env>" stream (one
-	// sequential draw sequence per environment, interleaved across
-	// applications) instead of the per-application "core/run/<env>/<app>"
-	// streams the partitioned executor uses. It exists so datasets produced
-	// before the StudySpec refactor — including the original seed-2025
-	// golden dataset — remain bit-for-bit reproducible. Incompatible with
-	// GranularityEnvApp: a shared sequential stream cannot be split into
-	// independent units.
-	LegacyRunStreams bool
 	// PauseBetweenScales inserts a wait after each cluster size so that
 	// lagged cost reporting catches up before committing to the next,
 	// larger (more expensive) size — "Operating on a cloud environment

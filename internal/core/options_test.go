@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -13,11 +14,8 @@ func TestDefaultOptionsMatchStudy(t *testing.T) {
 	// The zero Options must not change the study: Table 3 assertions in
 	// study_test.go run with defaults; here just confirm the shakeout and
 	// pause leave no trace when off.
-	st, err := New(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.RunFull()
+	st, _ := newTestStudy(t, DefaultSpec(11), nil)
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +27,9 @@ func TestDefaultOptionsMatchStudy(t *testing.T) {
 }
 
 func TestTestClustersShakeout(t *testing.T) {
-	st, err := New(12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := newTestStudy(t, DefaultSpec(12), nil)
 	st.Opts.TestClusters = true
-	res, err := st.RunFull()
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,14 +44,11 @@ func TestTestClustersShakeout(t *testing.T) {
 
 func TestPauseBetweenScalesShrinksBlindSpot(t *testing.T) {
 	run := func(pause time.Duration) float64 {
-		st, err := New(13)
-		if err != nil {
-			t.Fatal(err)
-		}
+		st, _ := newTestStudy(t, DefaultSpec(13), nil)
 		st.Opts.PauseBetweenScales = pause
 		// Azure environments run last in the matrix, so their freshest
 		// charges are the blind spot visible at study end.
-		if _, err := st.RunFull(); err != nil {
+		if _, err := st.runSession(context.Background(), nil); err != nil {
 			t.Fatal(err)
 		}
 		return st.Meter.UnreportedSpend(cloud.Azure)
@@ -72,13 +64,10 @@ func TestPauseBetweenScalesShrinksBlindSpot(t *testing.T) {
 }
 
 func TestAbortOverBudgetStopsEnvironment(t *testing.T) {
-	st, err := New(14)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := newTestStudy(t, DefaultSpec(14), nil)
 	st.Opts.AbortOverBudget = true
 	st.Meter.SetBudget(cloud.Google, 50) // absurdly tight
-	res, err := st.RunFull()
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

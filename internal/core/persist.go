@@ -12,7 +12,7 @@ package core
 //
 //   - "study/<spec-hash>": a complete study dataset (runs, trace,
 //     billing ledger, audits) under the spec's canonical hash — the
-//     whole-study warm path of CachedRunSpec.
+//     whole-study warm path of Runner.Run.
 //   - "unit/<sub-hash>": one (env, app) unit's precomputed model and
 //     hookup draws under a sub-hash of only that unit's inputs (seed,
 //     env row with scales, app, iterations, the chaos-plan slice
@@ -186,7 +186,7 @@ func (rs *ResultStore) logf(format string, args ...any) {
 }
 
 // logvia routes a warning through an injected per-run logger when one is
-// set (Runner.Logf → Study.Logf → here), else through the store's own
+// set (Runner.Logf → study.Logf → here), else through the store's own
 // Logf — the hook that lets a service embedder capture persist warnings
 // without touching the shared store's default.
 func (rs *ResultStore) logvia(logf func(format string, args ...any), format string, args ...any) {
@@ -196,18 +196,6 @@ func (rs *ResultStore) logvia(logf func(format string, args ...any), format stri
 	}
 	rs.logf(format, args...)
 }
-
-// The process-default result store, set by internal/cli from the -store
-// flag; nil means the persistent tier is disabled and the pipeline is
-// memory → compute, exactly as before the store existed.
-var defaultResultStore atomic.Pointer[ResultStore]
-
-// SetDefaultResultStore installs (or, with nil, removes) the process
-// default consulted by CachedRunSpec and attached to new studies.
-func SetDefaultResultStore(rs *ResultStore) { defaultResultStore.Store(rs) }
-
-// DefaultResultStore returns the process-default result store, or nil.
-func DefaultResultStore() *ResultStore { return defaultResultStore.Load() }
 
 // studyMeta is the "meta.json" of a study bundle: everything in Results
 // that is not runs, trace, or billing ledger.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"os"
@@ -26,21 +27,8 @@ func quietStore(t *testing.T) (*ResultStore, *store.Memory) {
 	return rs, mem
 }
 
-// storedStudy resolves a spec and builds a study wired to rs (which may
-// be nil for a store-free baseline).
-func storedStudy(t *testing.T, spec *StudySpec, rs *ResultStore) (*Study, *ResolvedSpec) {
-	t.Helper()
-	r, err := spec.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newStudy(r, spec)
-	st.Store = rs
-	return st, r
-}
-
 // dropCacheEntry evicts a spec from the in-process memory tier so the
-// next CachedRunSpec call exercises the store tier.
+// next Runner call exercises the store tier.
 func dropCacheEntry(t *testing.T, spec *StudySpec) string {
 	t.Helper()
 	key, err := spec.Hash()
@@ -57,9 +45,10 @@ func dropCacheEntry(t *testing.T, spec *StudySpec) string {
 // for the persistent tier: across granularity × workers {1,4,32}, clean
 // and chaotic, three paths must be byte-identical —
 //
-//  1. cold compute with a store attached (drawPlanned at every
-//     granularity, units saved as they compute) — for the clean default
-//     spec this is additionally pinned against the committed golden file;
+//  1. cold compute with a store attached (units run as pool tasks at
+//     every granularity and are saved as they compute) — for the clean
+//     default spec this is additionally pinned against the committed
+//     golden file;
 //  2. a warm whole-study load (decode, no compute);
 //  3. an incremental rerun that finds the units stored but not the study
 //     bundle (the study tag is deleted), so every unit decodes from the
@@ -81,8 +70,8 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 			t.Parallel()
 			// Store-free baseline at default policy.
 			baseSpec := &StudySpec{Seed: 2025, Chaos: chaosRef}
-			stBase, _ := storedStudy(t, baseSpec, nil)
-			resBase, err := stBase.RunFull()
+			stBase, _ := newTestStudy(t, baseSpec, nil)
+			resBase, err := stBase.runSession(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,8 +89,8 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 					spec := &StudySpec{Seed: 2025, Chaos: chaosRef, Workers: w, Granularity: g}
 
 					// Path 1: cold compute, store attached.
-					stCold, r := storedStudy(t, spec, rs)
-					resCold, err := stCold.RunFull()
+					stCold, r := newTestStudy(t, spec, rs)
+					resCold, err := stCold.runSession(context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,18 +117,18 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 					if _, ok := rs.LoadStudy(r); ok {
 						t.Fatal("study tag deletion did not take")
 					}
-					stInc, _ := storedStudy(t, spec, rs)
-					resInc, err := stInc.RunFull()
+					stInc, _ := newTestStudy(t, spec, rs)
+					resInc, err := stInc.runSession(context.Background(), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if got := goldenSnapshot(resInc); got != base {
 						t.Fatalf("g=%s w=%d: unit-reuse dataset not byte-identical", g, w)
 					}
-					if n := stInc.UnitComputes(); n != 0 {
+					if n := stInc.unitComputes.Load(); n != 0 {
 						t.Fatalf("g=%s w=%d: incremental rerun recomputed %d units, want 0", g, w, n)
 					}
-					if stCold.UnitComputes() == 0 {
+					if stCold.unitComputes.Load() == 0 {
 						t.Fatalf("g=%s w=%d: cold run computed no units — probe is broken", g, w)
 					}
 				}
@@ -158,23 +147,23 @@ func TestStoreIncrementalOneEnvEdit(t *testing.T) {
 	models := len(apps.All())
 
 	specA := &StudySpec{Seed: 771001, Envs: []string{"aws-eks-cpu", "google-gke-cpu"}}
-	stA, _ := storedStudy(t, specA, rs)
-	if _, err := stA.RunFull(); err != nil {
+	stA, _ := newTestStudy(t, specA, rs)
+	if _, err := stA.runSession(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := stA.UnitComputes(); n != int64(2*models) {
+	if n := stA.unitComputes.Load(); n != int64(2*models) {
 		t.Fatalf("first run computed %d units, want %d", n, 2*models)
 	}
 
 	// Edit one env: google-gke-cpu → azure-aks-cpu. aws-eks-cpu's units
 	// must come from the store; only azure's may compute.
 	specB := &StudySpec{Seed: 771001, Envs: []string{"aws-eks-cpu", "azure-aks-cpu"}}
-	stB, _ := storedStudy(t, specB, rs)
-	resB, err := stB.RunFull()
+	stB, _ := newTestStudy(t, specB, rs)
+	resB, err := stB.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := stB.UnitComputes(); n != int64(models) {
+	if n := stB.unitComputes.Load(); n != int64(models) {
 		t.Fatalf("one-env edit recomputed %d units, want exactly %d (the edited env's)", n, models)
 	}
 	if hits := rs.Stats().UnitHits; hits != int64(models) {
@@ -182,8 +171,8 @@ func TestStoreIncrementalOneEnvEdit(t *testing.T) {
 	}
 
 	// And the reused dataset is byte-identical to a store-free compute.
-	stC, _ := storedStudy(t, specB, nil)
-	resC, err := stC.RunFull()
+	stC, _ := newTestStudy(t, specB, nil)
+	resC, err := stC.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +181,15 @@ func TestStoreIncrementalOneEnvEdit(t *testing.T) {
 	}
 }
 
-// TestCachedRunSpecStoreTier pins the tier order: a store hit serves the
-// dataset without executing the study.
-func TestCachedRunSpecStoreTier(t *testing.T) {
+// TestRunnerStoreTierServesWithoutCompute pins the tier order: a store
+// hit serves the dataset without executing the study.
+func TestRunnerStoreTierServesWithoutCompute(t *testing.T) {
 	t.Parallel()
 	rs, _ := quietStore(t)
 	spec := &StudySpec{Seed: 771002, Envs: []string{"onprem-a-cpu"}, Apps: []string{"amg2023", "stream"}}
 
-	res1, err := cachedRunSpecIn(rs, spec)
+	r := &Runner{Store: rs}
+	res1, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +199,7 @@ func TestCachedRunSpecStoreTier(t *testing.T) {
 	missesAfterCold := rs.Stats().UnitMisses
 
 	dropCacheEntry(t, spec)
-	res2, err := cachedRunSpecIn(rs, spec)
+	res2, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +215,10 @@ func TestCachedRunSpecStoreTier(t *testing.T) {
 	}
 }
 
-// TestCachedRunSpecCorruptBlobFallsBack pins the degraded path: a study
-// bundle whose blob bytes no longer match their digest is a logged
-// warning and a recompute, never an error or wrong data.
-func TestCachedRunSpecCorruptBlobFallsBack(t *testing.T) {
+// TestRunnerCorruptBlobFallsBack pins the degraded path: a study bundle
+// whose blob bytes no longer match their digest is a logged warning and
+// a recompute, never an error or wrong data.
+func TestRunnerCorruptBlobFallsBack(t *testing.T) {
 	t.Parallel()
 	mem := store.NewMemory()
 	rs := NewResultStore(mem)
@@ -240,8 +230,9 @@ func TestCachedRunSpecCorruptBlobFallsBack(t *testing.T) {
 		mu.Unlock()
 	}
 	spec := &StudySpec{Seed: 771003, Envs: []string{"onprem-a-cpu"}, Apps: []string{"amg2023"}}
+	r := &Runner{Store: rs}
 
-	res1, err := cachedRunSpecIn(rs, spec)
+	res1, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +249,7 @@ func TestCachedRunSpecCorruptBlobFallsBack(t *testing.T) {
 		}
 	}
 
-	res2, err := cachedRunSpecIn(rs, spec)
+	res2, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatalf("corrupt store must fall back to compute, got error: %v", err)
 	}
@@ -281,10 +272,10 @@ func TestCachedRunSpecCorruptBlobFallsBack(t *testing.T) {
 	}
 }
 
-// TestCachedRunSpecConcurrentSameSpecComputesOnce: duplicate concurrent
-// callers coalesce onto one load-or-compute even with the store tier in
-// the path.
-func TestCachedRunSpecConcurrentSameSpecComputesOnce(t *testing.T) {
+// TestRunnerConcurrentSameSpecComputesOnce: duplicate concurrent callers
+// coalesce onto one load-or-compute even with the store tier in the
+// path.
+func TestRunnerConcurrentSameSpecComputesOnce(t *testing.T) {
 	t.Parallel()
 	rs, _ := quietStore(t)
 	spec := &StudySpec{Seed: 771004, Envs: []string{"onprem-b-gpu"}}
@@ -297,7 +288,7 @@ func TestCachedRunSpecConcurrentSameSpecComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := cachedRunSpecIn(rs, spec)
+			res, err := (&Runner{Store: rs}).Run(context.Background(), spec)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -403,17 +394,17 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	}
 
 	spec := &StudySpec{Seed: 771005, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream"}}
-	st, _ := storedStudy(t, spec, rs)
-	res, err := st.RunFull()
+	st, _ := newTestStudy(t, spec, rs)
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("stale unit artifact must fall back to compute, got: %v", err)
 	}
-	if st.UnitComputes() != 1 || rs.Stats().CorruptFallbacks == 0 {
-		t.Fatalf("fallback not taken: computes=%d stats=%+v", st.UnitComputes(), rs.Stats())
+	if st.unitComputes.Load() != 1 || rs.Stats().CorruptFallbacks == 0 {
+		t.Fatalf("fallback not taken: computes=%d stats=%+v", st.unitComputes.Load(), rs.Stats())
 	}
 	// And the dataset matches a store-free run.
-	stPlain, _ := storedStudy(t, spec, nil)
-	resPlain, err := stPlain.RunFull()
+	stPlain, _ := newTestStudy(t, spec, nil)
+	resPlain, err := stPlain.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +419,8 @@ func TestStudyBundleMissingFileFallsBack(t *testing.T) {
 	t.Parallel()
 	rs, _ := quietStore(t)
 	spec := &StudySpec{Seed: 771006, Envs: []string{"onprem-a-cpu"}, Apps: []string{"osu"}}
-	st, r := storedStudy(t, spec, rs)
-	res, err := st.RunFull()
+	st, r := newTestStudy(t, spec, rs)
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,8 +452,8 @@ func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
 	t.Parallel()
 	rs, _ := quietStore(t)
 	spec := &StudySpec{Seed: 771007, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream", "osu"}}
-	st, r := storedStudy(t, spec, rs)
-	res, err := st.RunFull()
+	st, r := newTestStudy(t, spec, rs)
+	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,8 +520,8 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 	for _, w := range []int{1, 4, 32} {
 		spec := &StudySpec{Seed: 2025, Workers: w}
 		rs, _ := quietStore(t)
-		st, r := storedStudy(t, spec, rs)
-		res, err := st.RunFull()
+		st, r := newTestStudy(t, spec, rs)
+		res, err := st.runSession(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

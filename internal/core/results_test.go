@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"cloudhpc/internal/apps"
@@ -16,7 +17,7 @@ import (
 // not an error — figures over subsets render as empty panels.
 func TestFigureForEmptyEnvSubset(t *testing.T) {
 	t.Parallel()
-	res, err := CachedRunSpec(&StudySpec{Seed: 2025, Envs: []string{"onprem-a-cpu"}, Apps: []string{"amg2023"}})
+	res, err := (&Runner{}).Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"onprem-a-cpu"}, Apps: []string{"amg2023"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,10 +50,7 @@ func TestFigureForEmptyEnvSubset(t *testing.T) {
 // the axis convention behind the paper's GPU panels.
 func TestFigureForGPUAxisUnitConversion(t *testing.T) {
 	t.Parallel()
-	res, err := CachedRunFull(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fullStudy(t)
 	fig, err := res.FigureFor("amg2023", cloud.GPU)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +108,7 @@ func TestFigureForGPUAxisUnitConversion(t *testing.T) {
 // points — the Quicksilver GPU pinning bug in the real dataset.
 func TestFigureForAllErrorRuns(t *testing.T) {
 	t.Parallel()
-	res, err := CachedRunFull(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := fullStudy(t)
 	recs := res.RunsFor("azure-aks-gpu", "quicksilver")
 	if len(recs) == 0 {
 		t.Fatal("no Quicksilver records on azure-aks-gpu")

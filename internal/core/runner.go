@@ -5,20 +5,11 @@ import (
 	"errors"
 )
 
-// ErrStudyConsumed reports a second RunFull/Run on the same Study.
-// Studies are one-shot by construction — a run merges the shards into
-// the study-level substrates, so a rerun would stitch a second timeline
-// onto an already-merged one and silently corrupt the dataset. The old
-// API did exactly that; the redesigned surface makes reuse a defined
-// error instead. Build a fresh Study, or use a Runner, for another run.
-var ErrStudyConsumed = errors.New("core: study already consumed (RunFull/Run are one-shot; build a new Study or use a Runner)")
-
-// Runner is the execution surface of the result pipeline: a handle that
-// turns StudySpecs into datasets through the memory → store → compute
-// tiers, with context cancellation, single-flight deduplication, and —
-// via Start — an observable Session per execution. The zero value is
-// ready to use and equivalent to the process defaults (the -store flag's
-// result store, warnings to the store's own logger).
+// Runner is the one way to run a study: a handle that turns StudySpecs
+// into datasets through the memory → store → compute tiers, with context
+// cancellation, single-flight deduplication, and — via Start — an
+// observable Session per execution. The zero value is ready to use: no
+// persistent store, warnings to the store's own logger.
 //
 // Run and Start are safe for concurrent use. Concurrent calls for the
 // same resolved spec share one execution: one caller leads (computes or
@@ -27,9 +18,9 @@ var ErrStudyConsumed = errors.New("core: study already consumed (RunFull/Run are
 // cancellation error is never memoized: the next caller recomputes.
 type Runner struct {
 	// Store is the persistent result store consulted and fed by this
-	// runner's executions; nil means the process default
-	// (DefaultResultStore — the -store flag). Tests inside the package
-	// can force the persistent tier off with disableStore.
+	// runner's executions — the only way a store reaches a run (the cmd/
+	// tools pass their -store flag's handle here). Nil disables the
+	// persistent tier: memory → compute.
 	Store *ResultStore
 	// Logf, when non-nil, receives the store/persist warnings (corrupt
 	// artifacts, failed saves, warm-hit notices) raised by this runner's
@@ -54,29 +45,13 @@ type Runner struct {
 	// miss both are offered to the fleet, and any fleet refusal falls
 	// back to local compute.
 	Fleet FleetDelegate
-
-	// disableStore forces the persistent tier off even when a process
-	// default store is installed (test hook; see cachedRunSpecIn).
-	disableStore bool
-}
-
-// resultStore resolves the runner's persistent tier.
-func (r *Runner) resultStore() *ResultStore {
-	if r.disableStore {
-		return nil
-	}
-	if r.Store != nil {
-		return r.Store
-	}
-	return DefaultResultStore()
 }
 
 // Run resolves and executes spec through the cache tiers and returns the
-// dataset — the context-aware, single-flight successor of the one-shot
-// Study.RunFull. The returned Results are shared: treat them as
-// read-only. On cancellation Run returns promptly with ctx's error; work
-// already dispatched drains cleanly and the persistent store is left
-// consistent (every artifact write is atomic).
+// dataset. The returned Results are shared: treat them as read-only. On
+// cancellation Run returns promptly with ctx's error; work already
+// dispatched drains cleanly and the persistent store is left consistent
+// (every artifact write is atomic).
 func (r *Runner) Run(ctx context.Context, spec *StudySpec) (*Results, error) {
 	sess, err := r.Start(ctx, spec)
 	if err != nil {
@@ -121,11 +96,8 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 			// Non-spec options: the dataset depends on more than the
 			// spec, so it is never served from, or memoized into, the
 			// study tiers.
-			st := newStudy(rspec, spec)
+			st := r.studyFor(rspec, spec)
 			st.Opts = opts
-			st.Store = r.resultStore()
-			st.Logf = r.Logf
-			st.Fleet = r.Fleet
 			go func() {
 				defer cancel()
 				res, err := st.runSession(runCtx, sess)
@@ -151,6 +123,14 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 	return sess, nil
 }
 
+// studyFor builds a fresh study for one computed run, wired to the
+// runner's store, logger, and fleet.
+func (r *Runner) studyFor(rspec *ResolvedSpec, spec *StudySpec) *study {
+	st := newStudy(rspec, spec)
+	st.Store, st.Logf, st.Fleet = r.Store, r.Logf, r.Fleet
+	return st
+}
+
 // observationOnlyConfigure reports whether a Configure hook changed
 // nothing but observation knobs (ReplayEvents): such runs still execute
 // exactly the spec's dataset, so they keep the memory and study-store
@@ -165,10 +145,10 @@ func observationOnlyConfigure(base, configured Options) bool {
 // first, compute otherwise, then publishes the outcome to the entry (for
 // followers) and the session. A context error is broadcast but never
 // memoized — the entry is dropped so the next caller recomputes —
-// whereas a study error is memoized exactly as the old cached layer did.
+// whereas a study error is memoized like any other outcome.
 func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Session, rspec *ResolvedSpec, spec *StudySpec, key string, e *cacheEntry) {
 	defer cancel()
-	rs := r.resultStore()
+	rs := r.Store
 	var res *Results
 	var err error
 	if rs != nil {
@@ -178,11 +158,7 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 		}
 	}
 	if res == nil {
-		st := newStudy(rspec, spec)
-		st.Store = rs
-		st.Logf = r.Logf
-		st.Fleet = r.Fleet
-		res, err = st.runSession(ctx, sess)
+		res, err = r.studyFor(rspec, spec).runSession(ctx, sess)
 		if err == nil && rs != nil {
 			if serr := rs.SaveStudy(rspec, res); serr != nil {
 				rs.logvia(r.Logf, "core: result store: saving study/%s failed: %v", key, serr)

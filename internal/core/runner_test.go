@@ -51,7 +51,7 @@ func TestSessionIsPureObservation(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := &StudySpec{Seed: 2025, Workers: 32, Granularity: GranularityEnvApp}
-	st, _ := storedStudy(t, spec, nil)
+	st, _ := newTestStudy(t, spec, nil)
 	sess := newSession(func() {})
 	ch, _ := sess.Subscribe()
 	join := collectEvents(ch)
@@ -112,15 +112,15 @@ func TestSessionIsPureObservation(t *testing.T) {
 func TestSessionEmitsIncidents(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 11, Chaos: "default", Workers: 4}
-	stBase, _ := storedStudy(t, spec, nil)
-	base, err := stBase.RunFull()
+	stBase, _ := newTestStudy(t, spec, nil)
+	base, err := stBase.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Incidents) == 0 {
 		t.Fatal("chaotic baseline injected nothing; the test would be vacuous")
 	}
-	st, _ := storedStudy(t, spec, nil)
+	st, _ := newTestStudy(t, spec, nil)
 	sess := newSession(func() {})
 	ch, _ := sess.Subscribe()
 	join := collectEvents(ch)
@@ -143,28 +143,6 @@ func TestSessionEmitsIncidents(t *testing.T) {
 	}
 }
 
-// TestRunFullSecondCallReturnsErrStudyConsumed pins the satellite fix:
-// studies are one-shot, and reuse is a defined error instead of silent
-// merge corruption.
-func TestRunFullSecondCallReturnsErrStudyConsumed(t *testing.T) {
-	t.Parallel()
-	st, err := NewFromSpec(&StudySpec{Seed: 3, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Store = nil
-	if _, err := st.RunFull(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.RunFull(); !errors.Is(err, ErrStudyConsumed) {
-		t.Fatalf("second RunFull = %v, want ErrStudyConsumed", err)
-	}
-	// The context-aware surface answers identically.
-	if _, err := st.Run(context.Background()); !errors.Is(err, ErrStudyConsumed) {
-		t.Fatalf("Run after RunFull = %v, want ErrStudyConsumed", err)
-	}
-}
-
 // TestRunnerSingleFlight: concurrent same-spec callers through one
 // Runner share a single execution — every caller receives the same
 // *Results value — and later callers are served from the memory tier
@@ -172,7 +150,7 @@ func TestRunFullSecondCallReturnsErrStudyConsumed(t *testing.T) {
 func TestRunnerSingleFlight(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 880001, Envs: []string{"azure-aks-cpu"}, Scales: []int{2, 4}, Iterations: 2}
-	r := &Runner{disableStore: true}
+	r := &Runner{}
 	const callers = 8
 	results := make([]*Results, callers)
 	var wg sync.WaitGroup
@@ -219,7 +197,7 @@ func TestRunnerSingleFlight(t *testing.T) {
 func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 880002, Workers: 1}
-	r := &Runner{disableStore: true}
+	r := &Runner{}
 	leader, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +240,7 @@ func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
 func TestRunnerFollowerDetachesOnOwnCtx(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 880003, Workers: 1}
-	r := &Runner{disableStore: true}
+	r := &Runner{}
 	leader, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -370,12 +348,12 @@ func TestRunnerStoreTierEmitsStudyCached(t *testing.T) {
 func TestRunnerConfigureBypassesCacheTiers(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 880006, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1}
-	plain := &Runner{disableStore: true}
+	plain := &Runner{}
 	base, err := plain.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	configured := &Runner{disableStore: true, Configure: func(o *Options) { o.PauseBetweenScales = time.Hour }}
+	configured := &Runner{Configure: func(o *Options) { o.PauseBetweenScales = time.Hour }}
 	a, err := configured.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

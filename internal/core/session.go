@@ -39,8 +39,7 @@ const DefaultReplayEvents = 256
 // Observation is pure and close to free when unused: events draw from no
 // RNG stream and impose no ordering, and with zero subscribers the emit
 // path is a few atomic operations once the replay ring fills, so a
-// no-subscriber session runs within noise of a bare RunFull
-// (BenchmarkRunnerStudyCold vs BenchmarkStudyStoreCold).
+// no-subscriber session runs within noise of an unobserved run.
 type Session struct {
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -242,9 +241,9 @@ func (s *Session) Seq() uint64 { return s.seq.Load() }
 // retained window sees them as Subscription.Missed.
 func (s *Session) Lost() uint64 { return s.lost.Load() }
 
-// setTotal records the partition plan size. Nil-safe: the no-session
-// paths (Study.RunFull, Study.Run) pass a nil *Session through the
-// executor and every observation hook degrades to a no-op.
+// setTotal records the partition plan size. Nil-safe: an unobserved run
+// passes a nil *Session through the executor and every observation hook
+// degrades to a no-op.
 func (s *Session) setTotal(n int) {
 	if s == nil {
 		return

@@ -12,7 +12,7 @@ import (
 func TestSubscribeFromResumesExactly(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 770001, Workers: 1, Granularity: GranularityEnvApp}
-	r := &Runner{disableStore: true, Configure: func(o *Options) { o.ReplayEvents = 1 << 14 }}
+	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = 1 << 14 }}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +67,7 @@ func TestReplayRingOverflowCounted(t *testing.T) {
 	t.Parallel()
 	const bound = 8
 	spec := &StudySpec{Seed: 770002, Workers: 1}
-	r := &Runner{disableStore: true, Configure: func(o *Options) { o.ReplayEvents = bound }}
+	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = bound }}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +125,7 @@ func TestNeverSubscribedSessionCountsOverflow(t *testing.T) {
 	t.Parallel()
 	const bound = 4
 	spec := &StudySpec{Seed: 770003, Workers: 1}
-	r := &Runner{disableStore: true, Configure: func(o *Options) { o.ReplayEvents = bound }}
+	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = bound }}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -158,12 +158,12 @@ func TestNeverSubscribedSessionCountsOverflow(t *testing.T) {
 func TestObservationOnlyConfigureKeepsCacheTiers(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 770004, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1}
-	plain := &Runner{disableStore: true}
+	plain := &Runner{}
 	base, err := plain.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	observing := &Runner{disableStore: true, Configure: func(o *Options) { o.ReplayEvents = 4096 }}
+	observing := &Runner{Configure: func(o *Options) { o.ReplayEvents = 4096 }}
 	res, err := observing.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

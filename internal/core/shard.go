@@ -53,15 +53,13 @@ type shard struct {
 	// iterations is the spec's per-scale repeat count (itersFor may lower
 	// it for individual runs).
 	iterations int
-	// mode selects where per-run model/hookup draws come from (see
-	// unit.go); planned holds the per-application unit outputs when mode
-	// is drawPlanned, indexed like models.
-	mode    drawMode
+	// planned holds the per-application unit outputs the shard's runs
+	// draw from (see unit.go), indexed like models.
 	planned []*unitPlan
-	// store, when non-nil, serves and receives unit plans (drawPlanned
-	// mode only); computes counts the units this shard actually computed,
-	// shared with the parent study's probe. logf overrides the store's
-	// own warning logger when the study injected one.
+	// store, when non-nil, serves and receives unit plans; computes counts
+	// the units this shard actually computed, shared with the parent
+	// study's probe. logf overrides the store's own warning logger when
+	// the study injected one.
 	store    *ResultStore
 	computes *atomic.Int64
 	logf     func(format string, args ...any)
@@ -69,19 +67,10 @@ type shard struct {
 	// remote workers before falling back to local compute (see unit.go).
 	fleet FleetDelegate
 
-	// runStreams caches the per-application draw streams (and legacyStream
-	// the shared pre-spec stream) so the inner loop stops re-deriving
-	// "core/run/<env>/<app>" — one string concat plus a map lookup per
-	// run. Simulation.Stream memoizes by name, so the cache returns the
-	// same stream object the name lookup would.
-	runStreams   []*sim.Stream
-	legacyStream *sim.Stream
-
 	// ctx is the run's cancellation context and sess its observing
-	// session (both may be nil on legacy paths); they are assigned by
-	// runSession before dispatch. Cancellation checks never draw from an
-	// RNG stream, so an uncancelled run is bit-identical with or without
-	// them.
+	// session (nil when unobserved); runSession assigns both before
+	// dispatch. Cancellation checks never draw from an RNG stream, so an
+	// uncancelled run is bit-identical with or without them.
 	ctx  context.Context
 	sess *Session
 
@@ -94,7 +83,7 @@ type shard struct {
 // under AbortOverBudget each shard receives an equal share of its
 // provider's budget (see budgetShare) so the provider-wide cap still holds
 // even though concurrent environments cannot observe each other's spend.
-func (st *Study) newShard(spec apps.EnvSpec) *shard {
+func (st *study) newShard(spec apps.EnvSpec) *shard {
 	s := sim.New(st.Sim.Seed())
 	log := trace.NewLog()
 	meter := cloud.NewMeter(s, log)
@@ -123,18 +112,6 @@ func (st *Study) newShard(spec apps.EnvSpec) *shard {
 	} else {
 		prov.FishEveryN = 0
 	}
-	// A result store forces drawPlanned at any granularity: unit plans
-	// are the store's exchange format, and planned and inline draws are
-	// byte-identical by construction (they touch the same named streams
-	// in the same order). Legacy streams have no per-app units at all, so
-	// they bypass the store entirely.
-	mode := drawInline
-	switch {
-	case st.Opts.LegacyRunStreams:
-		mode = drawLegacy
-	case st.Opts.Granularity == GranularityEnvApp || st.Store != nil:
-		mode = drawPlanned
-	}
 	sh := &shard{
 		spec:       spec,
 		opts:       st.Opts,
@@ -149,7 +126,11 @@ func (st *Study) newShard(spec apps.EnvSpec) *shard {
 		models:     st.Models,
 		chaos:      eng,
 		iterations: st.Iterations,
-		mode:       mode,
+		planned:    make([]*unitPlan, len(st.Models)),
+		store:      st.Store,
+		computes:   &st.unitComputes,
+		logf:       st.Logf,
+		fleet:      st.Fleet,
 		res: &Results{
 			// Sized to the shard's full schedule (scale skips only leave
 			// slack); one backing array for the whole run set.
@@ -161,30 +142,18 @@ func (st *Study) newShard(spec apps.EnvSpec) *shard {
 	// Event capacity from the partition plan: a handful of events per run
 	// plus per-scale lifecycle chatter (provision, daemonsets, teardown).
 	log.Reserve(len(spec.Scales)*(len(st.Models)*st.Iterations*6+48) + 32)
-	if mode == drawPlanned {
-		sh.planned = make([]*unitPlan, len(sh.models))
-		sh.store = st.Store
-		sh.computes = &st.unitComputes
-		sh.logf = st.Logf
-		sh.fleet = st.Fleet
-	}
 	return sh
 }
 
 // canceled reports the run's cancellation state; the executor checks it
 // between scales and applications so an in-flight shard drains within a
 // fraction of its lifecycle rather than running to completion.
-func (sh *shard) canceled() error {
-	if sh.ctx == nil {
-		return nil
-	}
-	return sh.ctx.Err()
-}
+func (sh *shard) canceled() error { return sh.ctx.Err() }
 
 // budgetShare splits the provider's configured budget evenly across its
 // deployable cloud environments. It reports false when the provider has no
 // configured budget or no deployable cloud environments.
-func (st *Study) budgetShare(spec apps.EnvSpec) (float64, bool) {
+func (st *study) budgetShare(spec apps.EnvSpec) (float64, bool) {
 	budgets := st.Meter.Budgets()
 	b, ok := budgets[spec.Provider]
 	if !ok {
@@ -215,7 +184,7 @@ func (sh *shard) run() {
 			"environment not deployed: %s", sh.spec.Unavailable)
 		return
 	}
-	sh.ensureUnits() // no-op when units were dispatched as their own tasks
+	sh.ensureUnits()
 	sh.requestQuota()
 	if err := sh.runEnvironment(); err != nil {
 		sh.err = fmt.Errorf("core: environment %s: %w", sh.spec.Key, err)
@@ -453,13 +422,12 @@ func (sh *shard) deployKubernetes(cluster *cloud.Cluster) (*sched.Scheduler, err
 
 // runOnce submits one application run through the environment's scheduler
 // and records the outcome. The model result and hookup time come from the
-// shard's draw source (inline stream, precomputed unit, or the legacy
-// shared stream — see unit.go); everything downstream of the draw is the
-// environment lifecycle and always replays here, in canonical order. With
-// a chaos engine attached, the run may hit a degraded network window
-// (stretching hookup and wall time — and therefore cost) before
-// submission, and a spot reclaim (via the scheduler's fault injector)
-// after it.
+// application's unit plan (see unit.go); everything downstream of the
+// draw is the environment lifecycle and always replays here, in
+// canonical order. With a chaos engine attached, the run may hit a
+// degraded network window (stretching hookup and wall time — and
+// therefore cost) before submission, and a spot reclaim (via the
+// scheduler's fault injector) after it.
 func (sh *shard) runOnce(appIdx int, m apps.Model, nodes, iter int, scheduler *sched.Scheduler) (RunRecord, error) {
 	spec := sh.spec
 	result, hookup, err := sh.draw(appIdx, m, nodes, iter)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -203,11 +204,7 @@ func TestSpecResolveSelections(t *testing.T) {
 func TestSpecRunsSubsetStudy(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 2025, Envs: []string{"google-gke-cpu"}, Apps: []string{"lammps"}, Iterations: 2}
-	st, err := NewFromSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.RunFull()
+	res, err := (&Runner{}).Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +226,11 @@ func TestSpecRunsSubsetStudy(t *testing.T) {
 // pair draws only from its own "core/run/<env>/<app>" stream.
 func TestSpecSubsetIsCompositional(t *testing.T) {
 	t.Parallel()
-	subset, err := CachedRunSpec(&StudySpec{Seed: 2025, Envs: []string{"google-gke-cpu"}, Apps: []string{"lammps"}})
+	subset, err := (&Runner{}).Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"google-gke-cpu"}, Apps: []string{"lammps"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := CachedRunFull(2025)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := fullStudy(t)
 	fullSlice := full.RunsFor("google-gke-cpu", "lammps")
 	if len(subset.Runs) != len(fullSlice) {
 		t.Fatalf("subset ran %d records, full-study slice holds %d", len(subset.Runs), len(fullSlice))
@@ -308,13 +302,14 @@ func TestSpecHashSeparatesSpecsAtSameSeed(t *testing.T) {
 	}
 }
 
-func TestCachedRunSpecNoCollision(t *testing.T) {
+// TestRunnerSameSeedSpecsDoNotCollide: the memory tier keys by spec
+// hash, not seed, so two specs at one seed are two entries and one spec
+// is one entry.
+func TestRunnerSameSeedSpecsDoNotCollide(t *testing.T) {
 	t.Parallel()
-	full, err := CachedRunSpec(DefaultSpec(2025))
-	if err != nil {
-		t.Fatal(err)
-	}
-	subset, err := CachedRunSpec(&StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
+	r := &Runner{}
+	full := fullStudy(t)
+	subset, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,20 +318,21 @@ func TestCachedRunSpecNoCollision(t *testing.T) {
 			len(subset.Runs), len(full.Runs))
 	}
 	// Same spec, same entry: pointer-identical shared Results.
-	again, err := CachedRunSpec(&StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
+	again, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if again != subset {
 		t.Fatal("identical specs must share one cache entry")
 	}
-	// And the default-spec entry is what CachedRunFull serves.
-	fullAgain, err := CachedRunFull(2025)
+	// And a policy-only difference shares the default-spec entry: the
+	// hash excludes workers and granularity.
+	fullAgain, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Workers: 3, Granularity: GranularityEnvApp})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fullAgain != full {
-		t.Fatal("CachedRunFull and the default spec must share one cache entry")
+		t.Fatal("specs differing only in execution policy must share one cache entry")
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -23,14 +22,14 @@ const Iterations = 5
 // BudgetPerCloudUSD is the per-cloud budget (paper §2.1).
 const BudgetPerCloudUSD = 49000
 
-// Study wires the study configuration together. The top-level substrates
-// are the merge targets of a run: after RunFull, Log, Meter, Builder, and
-// Registry hold the stitched-together view of every environment shard.
-// Provisioners, quota managers, and placement services are per-shard
-// concerns and are constructed inside the shards. Models and Hookup are
-// shared across shards read-only; Models may be replaced before RunFull to
-// study a subset of the applications.
-type Study struct {
+// study wires one execution's configuration together. Runner builds a
+// fresh one for every run it computes (newStudy), so a study runs exactly
+// once. The top-level substrates are the merge targets of that run:
+// afterwards Log, Meter, Builder, and Registry hold the stitched-together
+// view of every environment shard. Provisioners, quota managers, and
+// placement services are per-shard concerns and are constructed inside
+// the shards. Models and Hookup are shared across shards read-only.
+type study struct {
 	Opts     Options
 	Sim      *sim.Simulation
 	Log      *trace.Log
@@ -44,11 +43,9 @@ type Study struct {
 	// count; Iterations — the package constant — for the default study).
 	Iterations int
 	// Store, when non-nil, is the persistent result store consulted for
-	// (env, app) unit reuse during RunFull: units whose sub-hash is
-	// already stored are decoded instead of recomputed, and computed
-	// units are stored for the next study. Defaults to the process-wide
-	// store (SetDefaultResultStore); ignored under LegacyRunStreams (a
-	// shared sequential stream has no independently addressable units).
+	// (env, app) unit reuse: units whose sub-hash is already stored are
+	// decoded instead of recomputed, and computed units are stored for
+	// the next study. Runner.Store is the only way one gets here.
 	Store *ResultStore
 	// Logf, when non-nil, receives the store/persist warnings this
 	// study's execution raises (corrupt unit artifacts, failed saves)
@@ -66,16 +63,7 @@ type Study struct {
 	// actually performed — the compute probe the incremental-execution
 	// tests assert against (store-served units don't count).
 	unitComputes atomic.Int64
-	// consumed flips on the first Run/RunFull. A study is one-shot: a
-	// run merges the shards into the study-level substrates, so a rerun
-	// would stitch a second timeline onto the first and silently corrupt
-	// the merge state. Reuse returns ErrStudyConsumed instead.
-	consumed atomic.Bool
 }
-
-// UnitComputes reports how many (env, app) units RunFull computed rather
-// than decoded from the store.
-func (st *Study) UnitComputes() int64 { return st.unitComputes.Load() }
 
 // RunRecord is one application execution in the study dataset.
 type RunRecord struct {
@@ -122,38 +110,21 @@ type Results struct {
 	Builds containers.Funnel
 }
 
-// New creates the paper's full study with the given seed — shorthand for
-// NewFromSpec(DefaultSpec(seed)).
-func New(seed uint64) (*Study, error) {
-	return NewFromSpec(DefaultSpec(seed))
-}
-
-// NewFromSpec creates a study from a declarative spec: the spec's
+// newStudy builds a study from an already-materialized spec: the spec's
 // environment and application selections become the study matrix, its
 // scale override and iteration count apply, its chaos reference is
 // resolved into Options.Chaos, and its worker/granularity policy lands in
-// Options. The default spec reproduces New exactly.
-func NewFromSpec(spec *StudySpec) (*Study, error) {
-	r, err := spec.Resolve()
-	if err != nil {
-		return nil, err
-	}
-	return newStudy(r, spec), nil
-}
-
-// newStudy builds a study from an already-materialized spec. Callers that
-// need both the hash and the study (the cached-dataset layer) resolve
-// once and use this, so the dataset executed always matches the key it is
-// memoized under even if a referenced chaos plan file changes on disk in
-// between.
-func newStudy(r *ResolvedSpec, spec *StudySpec) *Study {
+// Options. Runner resolves once and builds from that, so the dataset
+// executed always matches the key it is memoized under even if a
+// referenced chaos plan file changes on disk in between.
+func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 	s := sim.New(r.Seed)
 	log := trace.NewLog()
 	meter := cloud.NewMeter(s, log)
 	for _, p := range []cloud.Provider{cloud.AWS, cloud.Azure, cloud.Google} {
 		meter.SetBudget(p, BudgetPerCloudUSD)
 	}
-	return &Study{
+	return &study{
 		Opts: Options{
 			Workers:     spec.Workers,
 			Granularity: spec.Granularity,
@@ -168,29 +139,26 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *Study {
 		Envs:       r.Envs,
 		Models:     r.Models,
 		Iterations: r.Iterations,
-		Store:      DefaultResultStore(),
 	}
 }
 
-// RunFull executes the whole study and returns the dataset — the
-// original blocking surface, kept as a thin wrapper over Run with a
-// background context. See Run for the execution model.
-func (st *Study) RunFull() (*Results, error) {
-	return st.Run(context.Background())
-}
-
-// Run executes the whole study under ctx and returns the dataset.
+// runSession executes the whole study under ctx and returns the dataset,
+// emitting every study, environment, and unit transition (plus injected
+// incidents and plan progress) on sess as an Event. Emission is pure
+// observation — no RNG draws, no ordering impact — and nil-safe, so an
+// unobserved run (sess == nil) pays nothing.
 //
-// Execution follows a work-partitioning plan. At GranularityEnv every
-// environment of the matrix runs as one independent shard with its own
-// virtual clock, event queue, RNG streams, and substrate instances. At
-// GranularityEnvApp each environment first fans out into one unit per
-// (environment, application) pair — a pure model/hookup precompute — and
-// the environment's lifecycle assembly is enqueued by whichever of its
-// units finishes last, so assemblies overlap with other environments'
-// units and the pool keeps scaling past the environment count. All tasks
-// are dispatched over a pool of Options.Workers goroutines (default
-// runtime.NumCPU()).
+// Execution follows a work-partitioning plan. Every environment of the
+// matrix runs as one independent shard with its own virtual clock, event
+// queue, RNG streams, and substrate instances, and every shard consumes
+// planned (env, app) unit draws (see unit.go). At GranularityEnvApp — and
+// whenever a result store is attached — the units run as their own pool
+// tasks, and the environment's lifecycle assembly is enqueued by
+// whichever of its units finishes last, so assemblies overlap with other
+// environments' units and the pool keeps scaling past the environment
+// count. Otherwise each shard plans its units serially before its
+// assembly. All tasks are dispatched over a pool of Options.Workers
+// goroutines (default runtime.NumCPU()).
 //
 // Because every unit's and shard's behaviour depends only on the root
 // seed and its own (env, app) coordinates — never on which worker ran it
@@ -204,37 +172,13 @@ func (st *Study) RunFull() (*Results, error) {
 // applications, so the drain is bounded by fractions of one unit's
 // runtime), skips the merge, and returns ctx's error. The persistent
 // store is never left torn: every artifact write is atomic.
-//
-// A Study is one-shot — Run merges the shards into st.Log, st.Meter,
-// st.Builder, and st.Registry — so a second call returns
-// ErrStudyConsumed.
-func (st *Study) Run(ctx context.Context) (*Results, error) {
-	return st.runSession(ctx, nil)
-}
-
-// runSession is Run with an optional observing session: every study,
-// environment, and unit transition (plus injected incidents and plan
-// progress) is emitted as an Event. Emission is pure observation — no
-// RNG draws, no ordering impact — and nil-safe, so the sessionless
-// wrappers pay nothing.
-func (st *Study) runSession(ctx context.Context, sess *Session) (*Results, error) {
+func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error) {
 	gran, err := ParseGranularity(string(st.Opts.Granularity))
 	if err != nil {
 		return nil, err
 	}
-	if st.Opts.LegacyRunStreams && gran != GranularityEnv {
-		return nil, fmt.Errorf("core: LegacyRunStreams requires granularity %q: a shared per-environment stream cannot be split into (env, app) units", GranularityEnv)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	// Consume only once the run is actually going to execute — a refused
-	// attempt (bad options, dead context) leaves the study reusable.
-	if st.consumed.Swap(true) {
-		return nil, ErrStudyConsumed
 	}
 	if st.Iterations <= 0 {
 		st.Iterations = Iterations
@@ -254,12 +198,12 @@ func (st *Study) runSession(ctx context.Context, sess *Session) (*Results, error
 	total := len(shards)
 	// Units are dispatched as their own pool tasks at GranularityEnvApp
 	// (the fine-grained policy) and whenever a result store is attached:
-	// a store forces drawPlanned at any granularity, and dispatching the
-	// store's per-unit encode (cold) and decode (warm) across the worker
-	// pool keeps the serialization off the environments' critical path
-	// instead of running it as a serial per-shard loop. Byte-identity
-	// across granularities makes the outputs indistinguishable.
-	unitized := gran == GranularityEnvApp || (st.Store != nil && !st.Opts.LegacyRunStreams)
+	// dispatching the store's per-unit encode (cold) and decode (warm)
+	// across the worker pool keeps the serialization off the
+	// environments' critical path instead of running it as a serial
+	// per-shard loop. Byte-identity across granularities makes the
+	// outputs indistinguishable.
+	unitized := gran == GranularityEnvApp || st.Store != nil
 	if unitized {
 		for _, sh := range shards {
 			if sh.spec.Unavailable == "" {
@@ -335,7 +279,7 @@ func (st *Study) runSession(ctx context.Context, sess *Session) (*Results, error
 // envTask wraps one environment shard's execution as a pool task,
 // bracketed by its observation events: started/skipped, the injected
 // incidents, and finished/failed.
-func (st *Study) envTask(ctx context.Context, sess *Session, sh *shard) func() {
+func (st *study) envTask(ctx context.Context, sess *Session, sh *shard) func() {
 	return func() {
 		if ctx.Err() != nil {
 			return
@@ -371,7 +315,7 @@ func (st *Study) envTask(ctx context.Context, sess *Session, sh *shard) func() {
 // matrix — which is what the cost-reporting-lag model needs). The offsets
 // depend only on the shards' own deterministic durations, never on
 // scheduling, so the merged output is identical for any worker count.
-func (st *Study) merge(shards []*shard) (*Results, error) {
+func (st *study) merge(shards []*shard) (*Results, error) {
 	res := &Results{
 		Log: st.Log, Meter: st.Meter, Envs: st.Envs,
 		ECCOn:   make(map[string]float64),

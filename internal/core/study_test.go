@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sync"
+	"context"
 	"testing"
 
 	"cloudhpc/internal/apps"
@@ -10,28 +10,33 @@ import (
 	"cloudhpc/internal/usability"
 )
 
-// The full study takes a few hundred milliseconds; share one run across
-// the package's tests.
-var (
-	studyOnce sync.Once
-	studyRes  *Results
-	studyErr  error
-)
+// newTestStudy is how in-package tests run a study with what Runner does
+// not expose (Meter budgets, Models, non-spec Opts, the unit-compute
+// probe, the merged study clock): it resolves spec and builds the study
+// a Runner would compute, with store rs attached (nil for a store-free
+// run). Callers adjust it and run it once with runSession, outside the
+// memory and study tiers.
+func newTestStudy(t *testing.T, spec *StudySpec, rs *ResultStore) (*study, *ResolvedSpec) {
+	t.Helper()
+	r, err := spec.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := newStudy(r, spec)
+	st.Store = rs
+	return st, r
+}
 
+// fullStudy is the default seed-2025 dataset. The full study takes a few
+// hundred milliseconds; the Runner's memory tier shares one run across
+// the package's tests.
 func fullStudy(t *testing.T) *Results {
 	t.Helper()
-	studyOnce.Do(func() {
-		st, err := New(2025)
-		if err != nil {
-			studyErr = err
-			return
-		}
-		studyRes, studyErr = st.RunFull()
-	})
-	if studyErr != nil {
-		t.Fatalf("RunFull: %v", studyErr)
+	res, err := (&Runner{}).Run(context.Background(), DefaultSpec(2025))
+	if err != nil {
+		t.Fatalf("full study: %v", err)
 	}
-	return studyRes
+	return res
 }
 
 func TestStudyRunsAllDeployableEnvironments(t *testing.T) {
@@ -323,19 +328,13 @@ func TestRunsForFilter(t *testing.T) {
 }
 
 func TestDeterministicStudy(t *testing.T) {
-	a, err := New(7)
+	a, _ := newTestStudy(t, DefaultSpec(7), nil)
+	resA, err := a.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resA, err := a.RunFull()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := b.RunFull()
+	b, _ := newTestStudy(t, DefaultSpec(7), nil)
+	resB, err := b.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

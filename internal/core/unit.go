@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -22,40 +21,21 @@ import (
 // lifecycle streams is the model's figure-of-merit jitter and the hookup
 // jitter, and those draws come from a stream named after the (env, app)
 // pair — so they are a pure function of (seed, env, app, scale order) and
-// can be computed anywhere, in any order, on any worker. At
-// GranularityEnvApp the executor dispatches them as independent units
-// before the environment assembly replays the lifecycle; at
-// GranularityEnv the shard draws them inline from the same streams at
-// consumption time. Both paths touch each named stream in the identical
-// order, which is the whole byte-identity argument across granularities.
+// can be computed anywhere, in any order, on any worker. Every shard
+// consumes them as planned draws: a unit precomputes one application's
+// draws, and the environment assembly replays the lifecycle over them.
+// Granularity decides only where units run — as their own pool tasks
+// (GranularityEnvApp, or any study with a result store), or serially
+// inside their shard before the assembly (GranularityEnv without one).
 //
 // The merge is hierarchical and deterministic at every level: units feed
 // their environment's assembly in canonical application order, and
 // assemblies merge into the study in canonical matrix order (study.go).
 
-// drawMode selects where a shard's per-run model/hookup draws come from.
-type drawMode int
-
-const (
-	// drawInline draws from the per-application streams
-	// "core/run/<env>/<app>" at consumption time (GranularityEnv).
-	drawInline drawMode = iota
-	// drawPlanned consumes draws precomputed by (env, app) units from the
-	// same per-application streams (GranularityEnvApp).
-	drawPlanned
-	// drawLegacy draws from the single shared per-environment stream
-	// "core/run/<env>" the pre-spec executor used (Options.LegacyRunStreams).
-	drawLegacy
-)
-
 // runStreamName names the model/hookup noise stream of one (env, app)
-// pair. The legacy executor used legacyRunStreamName for every app of an
-// environment; the per-app extension is what makes (env, app) units
-// independently computable.
+// pair; the per-app stream is what makes (env, app) units independently
+// computable.
 func runStreamName(envKey, app string) string { return "core/run/" + envKey + "/" + app }
-
-// legacyRunStreamName names the pre-spec shared per-environment stream.
-func legacyRunStreamName(envKey string) string { return "core/run/" + envKey }
 
 // plannedRun is one precomputed (env, app, scale, iter) outcome: the model
 // result and the hookup draw, tagged with its coordinates so consumption
@@ -111,8 +91,7 @@ func itersFor(spec apps.EnvSpec, nodes int, app string, base int) int {
 // from the stream runStreamName(spec.Key, m.Name()) of a private
 // simulation seeded with the study's root seed, visiting the
 // environment's scales in order — exactly the order the environment
-// assembly (or an inline-drawing shard) consumes them, so the draw
-// sequence on that named stream is identical in every mode.
+// assembly consumes them.
 func planUnit(seed uint64, spec apps.EnvSpec, m apps.Model, iterations int, hookup *network.HookupModel) *unitPlan {
 	sm := sim.New(seed)
 	rng := sm.Stream(runStreamName(spec.Key, m.Name()))
@@ -152,10 +131,10 @@ func PlanUnitForBench(seed uint64, spec apps.EnvSpec, m apps.Model, iterations i
 type unitSource int
 
 const (
-	unitFilled   unitSource = iota // already planned (dispatched earlier)
-	unitFromStore                  // decoded from the persistent store
-	unitRemote                     // computed by a fleet worker, then decoded
-	unitComputed                   // computed on the calling worker
+	unitFilled    unitSource = iota // already planned (dispatched earlier)
+	unitFromStore                   // decoded from the persistent store
+	unitRemote                      // computed by a fleet worker, then decoded
+	unitComputed                    // computed on the calling worker
 )
 
 // ensureUnit makes one (env, app) unit's planned draws available, in
@@ -205,15 +184,10 @@ func (sh *shard) ensureUnit(appIdx int) unitSource {
 // failure returns false and the caller computes locally: an absent or
 // misbehaving fleet can never wedge a study or change its bytes.
 func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
-	ctx := sh.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sess := sh.sess
 	observe := func(kind EventKind) {
-		sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: app})
+		sh.sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: app})
 	}
-	if !sh.fleet.Offload(ctx, sh.unitWork(key, app), observe) {
+	if !sh.fleet.Offload(sh.ctx, sh.unitWork(key, app), observe) {
 		return nil, false
 	}
 	return sh.store.loadUnit(key, sh.spec, app, sh.iterations, sh.logf)
@@ -237,64 +211,25 @@ func (sh *shard) resolveUnit(appIdx int) {
 	sh.sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: m.Name()})
 }
 
-// ensureUnits fills every unit slot of a planned-mode shard that was not
-// dispatched as its own work unit — the GranularityEnv-with-store path,
-// where the shard is one task and resolves its units serially before
-// replaying the lifecycle. Cancellation stops between units; the caller
-// notices via its own context checks.
+// ensureUnits fills every unit slot that was not dispatched as its own
+// work unit — the store-less GranularityEnv path, where the shard is one
+// task and plans its units serially before replaying the lifecycle. It
+// calls ensureUnit, not resolveUnit: that path has never emitted unit
+// events, and staying silent keeps its session streams unchanged.
+// Cancellation stops between units; the caller notices via its own
+// context checks before it draws.
 func (sh *shard) ensureUnits() {
-	if sh.mode != drawPlanned {
-		return
-	}
 	for i := range sh.models {
 		if sh.canceled() != nil {
 			return
 		}
-		if sh.planned[i] != nil {
-			continue // dispatched as its own task; already observed there
-		}
-		sh.resolveUnit(i)
+		sh.ensureUnit(i) // a no-op for units dispatched as their own tasks
 	}
 }
 
-// draw produces the model result and hookup time of one run, from
-// whichever source the shard's mode dictates. All three modes visit the
-// underlying named streams in the same per-stream order, so drawInline
-// and drawPlanned are byte-identical; drawLegacy reproduces the pre-spec
-// shared-stream sequence instead.
+// draw produces the model result and hookup time of one run from the
+// unit plan of its application.
 func (sh *shard) draw(appIdx int, m apps.Model, nodes, iter int) (apps.Result, time.Duration, error) {
-	spec := sh.spec
-	switch sh.mode {
-	case drawPlanned:
-		pr, err := sh.planned[appIdx].take(m.Name(), nodes, iter)
-		return pr.result, pr.hookup, err
-	case drawLegacy:
-		if sh.legacyStream == nil {
-			sh.legacyStream = sh.sim.Stream(legacyRunStreamName(spec.Key))
-		}
-		rng := sh.legacyStream
-		r := m.Run(spec.Env, nodes, rng)
-		hk := sh.hookup.Hookup(spec.Provider, spec.Acc, spec.Kubernetes, nodes, rng)
-		return r, hk, nil
-	default: // drawInline
-		rng := sh.runStream(appIdx)
-		r := m.Run(spec.Env, nodes, rng)
-		hk := sh.hookup.Hookup(spec.Provider, spec.Acc, spec.Kubernetes, nodes, rng)
-		return r, hk, nil
-	}
-}
-
-// runStream returns the shard's cached per-application draw stream,
-// deriving it on first use. The cache is pure memoization of
-// sim.Stream(runStreamName(...)) — same stream object, same state.
-func (sh *shard) runStream(appIdx int) *sim.Stream {
-	if sh.runStreams == nil {
-		sh.runStreams = make([]*sim.Stream, len(sh.models))
-	}
-	if s := sh.runStreams[appIdx]; s != nil {
-		return s
-	}
-	s := sh.sim.Stream(runStreamName(sh.spec.Key, sh.models[appIdx].Name()))
-	sh.runStreams[appIdx] = s
-	return s
+	pr, err := sh.planned[appIdx].take(m.Name(), nodes, iter)
+	return pr.result, pr.hookup, err
 }

@@ -1,6 +1,7 @@
 package dataset_test
 
 import (
+	"context"
 	"errors"
 	"math"
 	"reflect"
@@ -209,11 +210,7 @@ func TestUnitArtifactRoundTrip(t *testing.T) {
 
 func TestFullStudyArchives(t *testing.T) {
 	t.Parallel()
-	st, err := core.New(99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.RunFull()
+	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(99))
 	if err != nil {
 		t.Fatal(err)
 	}

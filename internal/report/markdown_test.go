@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,11 +9,7 @@ import (
 )
 
 func TestMarkdownReportComplete(t *testing.T) {
-	st, err := core.New(77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := st.RunFull()
+	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(77))
 	if err != nil {
 		t.Fatal(err)
 	}

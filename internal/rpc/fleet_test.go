@@ -58,7 +58,19 @@ func TestFleetWorkerEndToEnd(t *testing.T) {
 		}()
 	}
 
-	// A spec the process-wide memory tier has never seen (unique seed).
+	// Submit only once both workers have registered: a study submitted
+	// earlier finds no live workers and every unit takes the local
+	// fallback, leaving nothing to complete over the wire.
+	for deadline := time.Now().Add(10 * time.Second); co.Stats().LiveWorkers < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("workers did not register within 10s: %+v", co.Stats())
+		}
+	}
+
+	// A spec no other test runs (unique seed), with the process-wide
+	// memory tier flushed so a repeat run (-count=N) computes its units
+	// again instead of serving the study from memory.
+	core.FlushCachedRuns()
 	spec := "seed 880915\nenvs google-gke-cpu aws-eks-cpu\nscales 2 4\niterations 2\ngranularity env-app\n"
 	sub, err := client.Submit(context.Background(), spec)
 	if err != nil {

@@ -38,7 +38,7 @@ const (
 // the first connection is served.
 type Server struct {
 	// Runner executes submitted studies; nil means a zero core.Runner
-	// (process-default store). The server copies it and layers an
+	// (no result store). The server copies it and layers an
 	// observation-only Configure that widens each session's replay ring
 	// to Replay — which keeps the Runner's memory and store tiers (see
 	// core.Options.ReplayEvents).

@@ -38,9 +38,8 @@ const syncChunkBytes = 2 << 20
 const maxSyncBlobBytes = 1 << 28
 
 // storeRegistry resolves the registry behind the store.* methods: the
-// explicitly configured Runner store. A daemon started without -store
-// has no sync surface (the process-default store is deliberately not
-// consulted here — a hub must opt in to sharing a store).
+// Runner's store. A daemon started without -store has no sync surface —
+// a hub must opt in to sharing a store.
 func (c *conn) storeRegistry() (*oras.Registry, *Error) {
 	if c.srv.Runner != nil && c.srv.Runner.Store != nil {
 		return c.srv.Runner.Store.Registry(), nil

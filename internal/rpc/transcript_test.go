@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudhpc/internal/core"
 )
@@ -56,16 +57,24 @@ func (tr *transcript) String() string {
 	return tr.b.String()
 }
 
+// scriptTimeout bounds every wait on the server. A script that diverges
+// from the live protocol — expecting a line that never comes, or leaving
+// lines unread — fails within it, printing the transcript so far, rather
+// than hanging until the go test timeout.
+const scriptTimeout = 10 * time.Second
+
 // scriptConn is one scripted client connection served by ServeConn over
-// an io.Pipe pair.
+// an io.Pipe pair. The server's output is read ahead into lines as it is
+// written, so the server never blocks on the synchronous pipe however
+// far the script falls behind; recv consumes from there.
 type scriptConn struct {
-	t    *testing.T
-	tr   *transcript
-	name string
-	in   *io.PipeWriter
-	outR *io.PipeReader
-	out  *bufio.Reader
-	done chan error
+	t     *testing.T
+	tr    *transcript
+	name  string
+	in    *io.PipeWriter
+	outR  *io.PipeReader
+	lines chan string
+	done  chan error
 }
 
 func (tr *transcript) connect(srv *Server, name string) *scriptConn {
@@ -73,13 +82,27 @@ func (tr *transcript) connect(srv *Server, name string) *scriptConn {
 	outR, outW := io.Pipe()
 	c := &scriptConn{
 		t: tr.t, tr: tr, name: name,
-		in: inW, outR: outR, out: bufio.NewReader(outR),
-		done: make(chan error, 1),
+		in: inW, outR: outR,
+		// Far more lines than any scripted conversation, diverging or
+		// not, so the read-ahead never stalls the server.
+		lines: make(chan string, 4096),
+		done:  make(chan error, 1),
 	}
 	go func() {
 		err := srv.ServeConn(context.Background(), inR, outW)
 		outW.Close()
 		c.done <- err
+	}()
+	go func() {
+		defer close(c.lines)
+		out := bufio.NewReader(outR)
+		for {
+			line, err := out.ReadString('\n')
+			if err != nil {
+				return
+			}
+			c.lines <- strings.TrimSuffix(line, "\n")
+		}
 	}()
 	tr.logf("-- %s connected", name)
 	return c
@@ -88,20 +111,27 @@ func (tr *transcript) connect(srv *Server, name string) *scriptConn {
 func (c *scriptConn) send(line string) {
 	c.t.Helper()
 	c.tr.logf("%s >> %s", c.name, line)
-	if _, err := io.WriteString(c.in, line+"\n"); err != nil {
-		c.t.Fatalf("%s: send: %v", c.name, err)
+	stalled := time.AfterFunc(scriptTimeout, func() { c.in.Close() })
+	_, err := io.WriteString(c.in, line+"\n")
+	stalled.Stop()
+	if err != nil {
+		c.t.Fatalf("%s: send: %v (the server stopped reading within %s)\ntranscript so far:\n%s", c.name, err, scriptTimeout, c.tr.String())
 	}
 }
 
 func (c *scriptConn) recv() string {
 	c.t.Helper()
-	line, err := c.out.ReadString('\n')
-	if err != nil {
-		c.t.Fatalf("%s: recv: %v (partial %q)\ntranscript so far:\n%s", c.name, err, line, c.tr.String())
+	select {
+	case line, ok := <-c.lines:
+		if !ok {
+			c.t.Fatalf("%s: recv: the server closed the connection\ntranscript so far:\n%s", c.name, c.tr.String())
+		}
+		c.tr.logf("%s << %s", c.name, line)
+		return line
+	case <-time.After(scriptTimeout):
+		c.t.Fatalf("%s: recv: no line within %s\ntranscript so far:\n%s", c.name, scriptTimeout, c.tr.String())
 	}
-	line = strings.TrimSuffix(line, "\n")
-	c.tr.logf("%s << %s", c.name, line)
-	return line
+	return ""
 }
 
 func (c *scriptConn) recvN(n int) []string {
@@ -119,20 +149,42 @@ func (c *scriptConn) drop() {
 	c.t.Helper()
 	c.outR.Close()
 	c.in.Close()
-	<-c.done
+	c.wait()
 	c.tr.logf("-- %s dropped", c.name)
 }
 
 // finish ends the conversation cleanly and waits for the server side to
-// unwind.
+// unwind. Any line the server wrote that the script never read is a
+// divergence from the expected conversation: it is transcribed and fails
+// the test.
 func (c *scriptConn) finish() {
 	c.t.Helper()
 	c.in.Close()
-	if err := <-c.done; err != nil {
+	if err := c.wait(); err != nil {
 		c.t.Fatalf("%s: serve: %v", c.name, err)
+	}
+	unread := 0
+	for line := range c.lines {
+		c.tr.logf("%s << %s (unread)", c.name, line)
+		unread++
 	}
 	c.outR.Close()
 	c.tr.logf("-- %s closed", c.name)
+	if unread > 0 {
+		c.t.Fatalf("%s: the server wrote %d line(s) the script never read\ntranscript:\n%s", c.name, unread, c.tr.String())
+	}
+}
+
+// wait returns ServeConn's result once the server side has unwound.
+func (c *scriptConn) wait() error {
+	c.t.Helper()
+	select {
+	case err := <-c.done:
+		return err
+	case <-time.After(scriptTimeout):
+		c.t.Fatalf("%s: the server did not unwind within %s\ntranscript so far:\n%s", c.name, scriptTimeout, c.tr.String())
+	}
+	return nil
 }
 
 // eventSeq extracts the sequence number from a study.event notification
