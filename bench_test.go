@@ -23,6 +23,7 @@ import (
 	"cloudhpc/internal/core"
 	"cloudhpc/internal/fleet"
 	"cloudhpc/internal/network"
+	"cloudhpc/internal/report"
 	"cloudhpc/internal/sim"
 	"cloudhpc/internal/trace"
 	"cloudhpc/internal/usability"
@@ -204,6 +205,21 @@ func BenchmarkTable3Usability(b *testing.B) {
 		b.ReportMetric(float64(len(as)), "rows")
 		b.ReportMetric(float64(sum[usability.High]), "high-scores")
 		b.ReportMetric(float64(sum[usability.Low]), "low-scores")
+	}
+}
+
+// BenchmarkReportMarkdown renders the complete results report — every
+// table, figure, audit and failure — from the shared seed-2025 dataset:
+// the render every report request ends in, warm re-renders included.
+func BenchmarkReportMarkdown(b *testing.B) {
+	res := studyResults(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		md, err := report.Markdown(res)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(len(md)), "bytes")
 	}
 }
 

@@ -31,6 +31,9 @@ type EnvSpec struct {
 }
 
 // StudyEnvironments returns the full matrix in the paper's Table 1 order.
+// Every call rebuilds it: a fresh instance catalog, the network models and
+// all 14 rows (87 allocations, 7.7 kB). Call it once per process or per
+// study, never per run record; a study's own rows are Results.Envs.
 func StudyEnvironments() ([]EnvSpec, error) {
 	cat := cloud.NewCatalog()
 	nets := network.Models()
@@ -151,7 +154,9 @@ func SelectEnvironments(patterns []string) ([]EnvSpec, error) {
 	return out, nil
 }
 
-// EnvByKey returns one environment from the matrix.
+// EnvByKey returns one environment from the matrix. It rebuilds the whole
+// matrix (see StudyEnvironments) to find the row, so it is for one-off
+// lookups — a CLI flag, a fleet unit — not for loops over a dataset.
 func EnvByKey(key string) (EnvSpec, error) {
 	envs, err := StudyEnvironments()
 	if err != nil {

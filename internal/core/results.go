@@ -10,14 +10,16 @@ import (
 	"cloudhpc/internal/usability"
 )
 
-// envLabel returns the display label of an environment key.
-func (r *Results) envLabel(key string) string {
-	for _, e := range r.Envs {
-		if e.Key == key {
-			return e.Label
+// env returns the study's own row for key, or nil if the study did not
+// select it. It scans r.Envs rather than caching an index: a Results is
+// shared read-only across sessions.
+func (r *Results) env(key string) *apps.EnvSpec {
+	for i := range r.Envs {
+		if r.Envs[i].Key == key {
+			return &r.Envs[i]
 		}
 	}
-	return key
+	return nil
 }
 
 // FigureFor aggregates the runs of one application on one accelerator
@@ -48,8 +50,8 @@ func (r *Results) FigureFor(app string, acc cloud.Accelerator) (*metrics.Figure,
 		if rec.App != app || rec.Err != nil {
 			continue
 		}
-		spec, err := apps.EnvByKey(rec.EnvKey)
-		if err != nil || spec.Acc != acc {
+		spec := r.env(rec.EnvKey)
+		if spec == nil || spec.Acc != acc {
 			continue
 		}
 		x := float64(rec.Nodes)

@@ -3,8 +3,8 @@ package k8s
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"sort"
+	"strconv"
 
 	"cloudhpc/internal/flux"
 )

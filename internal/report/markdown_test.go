@@ -45,3 +45,26 @@ func TestMarkdownReportComplete(t *testing.T) {
 		t.Fatalf("report suspiciously short: %d bytes", len(md))
 	}
 }
+
+// TestMarkdownAllocs pins the render's cost on the canonical study. The
+// render runs on every report request, warm re-renders from the store
+// included, so a derivation that rebuilds shared state per run record
+// shows here as a multiple of this ceiling, not a percent.
+func TestMarkdownAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(2025))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 10000
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Markdown(res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("Markdown on seed 2025 allocates %.0f/op, want <= %d", got, ceiling)
+	}
+}

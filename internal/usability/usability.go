@@ -73,9 +73,10 @@ func (s *Scorer) Score(log *trace.Log, env string) Assessment {
 		Scores:   make(map[trace.Category]Effort, len(Categories)),
 		Evidence: make(map[trace.Category][]trace.Event),
 	}
+	events := log.ByEnv(env)
 	for _, cat := range Categories {
 		var unexpected, blocking int
-		for _, e := range log.ByEnv(env) {
+		for _, e := range events {
 			if e.Category != cat {
 				continue
 			}

@@ -3,6 +3,7 @@ package usability
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cloudhpc/internal/trace"
 )
@@ -59,6 +60,11 @@ func TestInfoAndBillingNeverCount(t *testing.T) {
 			t.Fatalf("%s should be low, got %v", cat, a.Scores[cat])
 		}
 	}
+	for _, cat := range []trace.Category{trace.Info, trace.Billing} {
+		if ev, ok := a.Evidence[cat]; ok {
+			t.Fatalf("evidence has a %s key: %+v", cat, ev)
+		}
+	}
 }
 
 func TestEventsIsolatedPerEnvironment(t *testing.T) {
@@ -77,12 +83,41 @@ func TestEventsIsolatedPerEnvironment(t *testing.T) {
 
 func TestEvidenceRecorded(t *testing.T) {
 	t.Parallel()
+	// Events interleave two environments and four categories; timestamps
+	// are deliberately out of order, so evidence must follow the log, not
+	// the clock.
 	log := trace.NewLog()
-	log.Addf(0, "e", trace.Development, trace.Blocking, "custom daemonset")
+	log.Addf(5*time.Minute, "e", trace.Development, trace.Blocking, "custom daemonset")
+	log.Addf(1*time.Minute, "e", trace.Setup, trace.Unexpected, "quota request")
+	log.Addf(2*time.Minute, "other", trace.Development, trace.Blocking, "other env's daemonset")
+	log.Addf(3*time.Minute, "e", trace.Setup, trace.Routine, "cluster up")
+	log.Addf(0, "e", trace.Development, trace.Unexpected, "kernel module rebuild")
+	log.Addf(4*time.Minute, "e", trace.AppSetup, trace.Routine, "spack install")
+	log.Addf(6*time.Minute, "e", trace.Setup, trace.Blocking, "stuck provisioning")
+	log.Addf(7*time.Minute, "e", trace.Manual, trace.Unexpected, "job stalled")
+	log.Addf(8*time.Minute, "other", trace.Manual, trace.Unexpected, "other env's stall")
+	log.Addf(9*time.Minute, "e", trace.Info, trace.Unexpected, "note")
+	log.Addf(time.Minute, "e", trace.Development, trace.Blocking, "operator patch")
 	a := NewScorer().Score(log, "e")
-	ev := a.Evidence[trace.Development]
-	if len(ev) != 1 || ev[0].Msg != "custom daemonset" {
-		t.Fatalf("evidence missing: %+v", ev)
+
+	want := map[trace.Category][]string{
+		trace.Setup:       {"quota request", "stuck provisioning"},
+		trace.Development: {"custom daemonset", "kernel module rebuild", "operator patch"},
+		trace.Manual:      {"job stalled"},
+	}
+	if len(a.Evidence) != len(want) {
+		t.Fatalf("evidence keys = %d categories, want %d: %+v", len(a.Evidence), len(want), a.Evidence)
+	}
+	for cat, msgs := range want {
+		ev := a.Evidence[cat]
+		if len(ev) != len(msgs) {
+			t.Fatalf("%s evidence = %+v, want %q", cat, ev, msgs)
+		}
+		for i, e := range ev {
+			if e.Msg != msgs[i] || e.Env != "e" || e.Category != cat {
+				t.Fatalf("%s evidence[%d] = %+v, want %q in env e", cat, i, e, msgs[i])
+			}
+		}
 	}
 }
 
