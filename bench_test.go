@@ -41,16 +41,16 @@ func studyResults(b *testing.B) *core.Results {
 	return res
 }
 
-// computeStudy runs the default study at seed with the given execution
-// policy through a store-less Runner, flushing the memory tier first: the
+// computeStudy runs the default study at seed with the given worker
+// count through a store-less Runner, flushing the memory tier first: the
 // timing benches reuse seeds across b.N rounds and sub-benchmarks, and
-// the spec hash ignores workers and granularity, so without the flush
-// every run after the first would time a map lookup.
-func computeStudy(b *testing.B, seed uint64, workers int, gran core.Granularity) *core.Results {
+// the spec hash ignores workers, so without the flush every run after
+// the first would time a map lookup.
+func computeStudy(b *testing.B, seed uint64, workers int) *core.Results {
 	b.Helper()
 	core.FlushCachedRuns()
 	spec := core.DefaultSpec(seed)
-	spec.Workers, spec.Granularity = workers, gran
+	spec.Workers = workers
 	res, err := (&core.Runner{}).Run(context.Background(), spec)
 	if err != nil {
 		b.Fatal(err)
@@ -87,11 +87,11 @@ func reportPeakRSS(b *testing.B) {
 
 // BenchmarkFullStudy times the entire 13-environment, 11-application,
 // 5-iteration study — the producer of every artifact below — at the
-// default worker count (one shard per environment over runtime.NumCPU()
-// workers).
+// default worker count (every (env, app) unit and environment assembly
+// over runtime.NumCPU() workers).
 func BenchmarkFullStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res := computeStudy(b, uint64(2025+i), 0, core.GranularityEnv)
+		res := computeStudy(b, uint64(2025+i), 0)
 		b.ReportMetric(float64(len(res.Runs)), "runs")
 	}
 	reportPeakRSS(b)
@@ -100,47 +100,21 @@ func BenchmarkFullStudy(b *testing.B) {
 // BenchmarkFullStudyWorkers sweeps the executor's worker count. The
 // dataset is byte-identical across the sweep (see the core determinism
 // tests); only the wall time changes, roughly in proportion to available
-// cores until the longest single environment shard dominates.
+// cores until the longest environment's lifecycle replay dominates.
 func BenchmarkFullStudyWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := computeStudy(b, uint64(2025+i), workers, core.GranularityEnv)
+				res := computeStudy(b, uint64(2025+i), workers)
 				b.ReportMetric(float64(len(res.Runs)), "runs")
 			}
 		})
 	}
 }
 
-// BenchmarkFullStudyGranularity sweeps the work-partitioning plan:
-// granularity=env caps parallelism at the environment count (13 shards),
-// while granularity=env-app fans each environment's model evaluations out
-// into one unit per (env, app) pair (>140 units), so worker counts beyond
-// 13 keep shrinking the critical path — the longest shard sheds its model
-// evaluation share onto the pool and only its lifecycle replay stays
-// serial. The dataset is byte-identical across every cell of the sweep
-// (TestRunFullWorkerCountInvariant); only wall time may differ, and on a
-// machine with more than 13 cores the env-app rows at high worker counts
-// run fastest. Compare:
-//
-//	go test -bench 'FullStudyGranularity' -benchtime=5x
-func BenchmarkFullStudyGranularity(b *testing.B) {
-	for _, gran := range []core.Granularity{core.GranularityEnv, core.GranularityEnvApp} {
-		for _, workers := range []int{1, 4, 13, 32} {
-			b.Run(fmt.Sprintf("granularity=%s/workers=%d", gran, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := computeStudy(b, uint64(2025+i), workers, gran)
-					b.ReportMetric(float64(len(res.Runs)), "runs")
-				}
-				reportPeakRSS(b)
-			})
-		}
-	}
-}
-
-// BenchmarkUnitPrecompute isolates the work the env-app granularity moves
-// off the environments' critical path: the pure model/hookup evaluation
-// of the full matrix, one (env, app) unit at a time. Its share of
+// BenchmarkUnitPrecompute isolates the work the (env, app) unit tasks
+// take off the environments' critical path: the pure model/hookup
+// evaluation of the full matrix, one unit at a time. Its share of
 // BenchmarkFullStudy is the parallelizable fraction beyond 13 workers.
 func BenchmarkUnitPrecompute(b *testing.B) {
 	spec, err := core.DefaultSpec(2025).Resolve()

@@ -5,12 +5,11 @@
 // for the same spec.
 //
 // The chaotic dataset is exactly as reproducible as the clean one: at a
-// fixed (spec, plan) the run is byte-identical for every -workers value
-// and -granularity.
+// fixed (spec, plan) the run is byte-identical for every -workers value.
 //
 // Usage:
 //
-//	chaosbench [-spec FILE] [-seed N] [-chaos default|FILE] [-workers N] [-granularity env|env-app] [-store DIR] [-progress auto|on|off] [-no-baseline] [-incidents]
+//	chaosbench [-spec FILE] [-seed N] [-chaos default|FILE] [-workers N] [-store DIR] [-progress auto|on|off] [-no-baseline] [-incidents]
 //
 // Plan files are line-oriented (see internal/chaos):
 //

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cloudbench [-spec FILE] [-seed N] [-workers N] [-granularity env|env-app] [-store DIR] [-progress auto|on|off] [-trace]
+//	cloudbench [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-trace]
 package main
 
 import (

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	report [-spec FILE] [-seed N] [-workers N] [-granularity env|env-app] [-store DIR] [-progress auto|on|off] [-o report.md] [-chaos default|FILE]
+//	report [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-o report.md] [-chaos default|FILE]
 package main
 
 import (

@@ -30,7 +30,6 @@ seed 2025
 envs *            # the full Table 1 matrix
 apps *            # all 11 proxy applications
 iterations 5
-granularity env-app
 `)
 	if err != nil {
 		log.Fatal(err)
@@ -46,14 +45,17 @@ granularity env-app
 	}
 	events, unsubscribe := sess.Subscribe()
 	go func() {
+		var plan core.Event // the latest study-started or progress event
 		for ev := range events {
 			switch ev.Kind {
 			case core.EventStudyStarted:
+				plan = ev
 				fmt.Printf("started: %d work units planned\n", ev.Total)
+			case core.EventProgress:
+				plan = ev
 			case core.EventEnvFinished:
-				done, total := sess.Progress()
 				fmt.Printf("  %-26s done (%d/%d units, %.0f%%)\n",
-					ev.Env, done, total, 100*float64(done)/float64(total))
+					ev.Env, plan.Done, plan.Total, plan.Percent())
 			case core.EventStudyCached:
 				fmt.Printf("served from the %s cache\n", ev.Tier)
 			}
@@ -74,9 +76,8 @@ granularity env-app
 		rows[0].TotalUSD, rows[0].Label, rows[len(rows)-1].TotalUSD, rows[len(rows)-1].Label)
 
 	// Slice 3: per-cloud spend (§3.4). The default spec at the same seed
-	// hashes identically to the spec above (granularity never enters the
-	// hash), so this second call returns the identical memoized dataset
-	// without re-running.
+	// hashes identically to the spec above, so this second call returns
+	// the identical memoized dataset without re-running.
 	again, err := runner.Run(context.Background(), core.DefaultSpec(2025))
 	if err != nil {
 		log.Fatal(err)

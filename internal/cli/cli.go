@@ -1,7 +1,7 @@
 // Package cli deduplicates the study flag plumbing shared by the cmd/
 // mains (report, cloudbench, chaosbench, figures, trace, usability,
-// archive): the -seed, -workers, -chaos, -granularity, -spec, -store,
-// -progress, -cpuprofile, and -memprofile flags, the precedence rule
+// archive): the -seed, -workers, -chaos, -spec, -store, -progress,
+// -cpuprofile, and -memprofile flags, the precedence rule
 // that combines them into one core.StudySpec, and the shared run
 // harness (RunSpec: a core.Runner session with SIGINT → graceful
 // cancellation, the stderr progress renderer, and pprof profile
@@ -20,17 +20,16 @@ import (
 // StudyFlags is the shared flag set. Register it before flag.Parse and
 // resolve it after.
 type StudyFlags struct {
-	fs          *flag.FlagSet
-	seed        *uint64
-	workers     *int
-	chaos       *string
-	spec        *string
-	granularity *string
-	store       *string
-	progress    *string
-	cpuprofile  *string
-	memprofile  *string
-	chaosDflt   string
+	fs         *flag.FlagSet
+	seed       *uint64
+	workers    *int
+	chaos      *string
+	spec       *string
+	store      *string
+	progress   *string
+	cpuprofile *string
+	memprofile *string
+	chaosDflt  string
 
 	storeOpened bool
 	storeHandle *core.ResultStore
@@ -44,8 +43,7 @@ func Register(fs *flag.FlagSet, chaosDefault string) *StudyFlags {
 	f.seed = fs.Uint64("seed", core.DefaultSeed, "simulation seed (overrides the spec file's seed when set)")
 	f.workers = fs.Int("workers", 0, "concurrent work units (0 = all CPUs); the dataset is identical for every value")
 	f.chaos = fs.String("chaos", chaosDefault, `fault-injection plan: "none", "default", or a plan file path`)
-	f.spec = fs.String("spec", "", `study spec: "default" or a spec file path (envs, apps, scales, iterations, chaos, workers, granularity)`)
-	f.granularity = fs.String("granularity", "", `work-partitioning unit: "env" or "env-app"; the dataset is identical for either`)
+	f.spec = fs.String("spec", "", `study spec: "default" or a spec file path (envs, apps, scales, iterations, chaos, workers)`)
 	f.store = fs.String("store", "", "persistent result store directory: studies and (env, app) units are content-addressed there and reused across runs")
 	f.progress = fs.String("progress", "auto", `study progress feed on stderr: "auto" (only when stderr is a terminal), "on", or "off"`)
 	f.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the study run to this file")
@@ -113,13 +111,6 @@ func (f *StudyFlags) Spec() (*core.StudySpec, error) {
 		spec.Chaos = *f.chaos
 	} else if spec.Chaos == "" && f.chaosDflt != "" {
 		spec.Chaos = f.chaosDflt
-	}
-	if set["granularity"] {
-		g, err := core.ParseGranularity(*f.granularity)
-		if err != nil {
-			return nil, err
-		}
-		spec.Granularity = g
 	}
 	return spec, nil
 }

@@ -26,7 +26,7 @@ func parse(t *testing.T, chaosDefault string, args ...string) *core.StudySpec {
 func TestDefaults(t *testing.T) {
 	t.Parallel()
 	spec := parse(t, "")
-	if spec.Seed != core.DefaultSeed || spec.Workers != 0 || spec.Chaos != "" || spec.Granularity != core.GranularityEnv {
+	if spec.Seed != core.DefaultSeed || spec.Workers != 0 || spec.Chaos != "" {
 		t.Fatalf("default resolution: %+v", spec)
 	}
 }
@@ -35,7 +35,7 @@ func TestExplicitFlagsOverrideSpecFile(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "study.spec")
-	src := "seed 7\nenvs azure-*\nworkers 2\nchaos default\ngranularity env\n"
+	src := "seed 7\nenvs azure-*\nworkers 2\nchaos default\n"
 	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +45,8 @@ func TestExplicitFlagsOverrideSpecFile(t *testing.T) {
 		t.Fatalf("spec file not honored: %+v", spec)
 	}
 	// Explicit flags override their fields; untouched fields survive.
-	spec = parse(t, "", "-spec", path, "-seed", "9", "-workers", "32", "-granularity", "env-app")
-	if spec.Seed != 9 || spec.Workers != 32 || spec.Granularity != core.GranularityEnvApp {
+	spec = parse(t, "", "-spec", path, "-seed", "9", "-workers", "32")
+	if spec.Seed != 9 || spec.Workers != 32 {
 		t.Fatalf("explicit overrides not applied: %+v", spec)
 	}
 	if spec.Chaos != "default" || len(spec.Envs) != 1 || spec.Envs[0] != "azure-*" {
@@ -86,18 +86,6 @@ func TestChaosDefaultOnlyFillsEmpty(t *testing.T) {
 	spec = parse(t, "default", "-spec", clean)
 	if spec.Chaos != "none" {
 		t.Fatalf("explicit chaos none was replaced by %q", spec.Chaos)
-	}
-}
-
-func TestBadGranularityRejected(t *testing.T) {
-	t.Parallel()
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs, "")
-	if err := fs.Parse([]string{"-granularity", "per-iteration"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Spec(); err == nil {
-		t.Fatal("unknown granularity must be rejected")
 	}
 }
 

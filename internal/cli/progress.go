@@ -84,18 +84,22 @@ func Fail(tool string, err error) {
 
 // Progress subscribes to sess and renders its event stream on w as a
 // line-oriented feed (environment lifecycle, plan completion, incident
-// and unit-reuse tallies). The returned func blocks until the stream is
-// fully drained — call it after Wait so the closing line lands before
-// the main's own output.
+// and unit-reuse tallies). Plan completion is read from the stream — the
+// latest study-started or progress event — not from sess.Progress, whose
+// live counters run ahead of a renderer that trails the executor. The
+// returned func blocks until the stream is fully drained — call it after
+// Wait so the closing line lands before the main's own output.
 func Progress(w io.Writer, sess *core.Session) func() {
 	ch, _ := sess.Subscribe()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		incidents, unitsCached, unitsRemote, leasesLost := 0, 0, 0, 0
+		var plan core.Event // the latest study-started or progress event
 		for ev := range ch {
 			switch ev.Kind {
 			case core.EventStudyStarted:
+				plan = ev
 				if ev.Total > 0 {
 					fmt.Fprintf(w, "study: started — %d work units planned\n", ev.Total)
 				} else {
@@ -105,13 +109,10 @@ func Progress(w io.Writer, sess *core.Session) func() {
 				fmt.Fprintf(w, "study: served from the %s cache, no execution needed\n", ev.Tier)
 			case core.EventEnvStarted:
 				fmt.Fprintf(w, "  env %-26s started\n", ev.Env)
+			case core.EventProgress:
+				plan = ev
 			case core.EventEnvFinished:
-				done, total := sess.Progress()
-				pct := 0.0
-				if total > 0 {
-					pct = 100 * float64(done) / float64(total)
-				}
-				fmt.Fprintf(w, "  env %-26s done        [%3.0f%% — %d/%d units]\n", ev.Env, pct, done, total)
+				fmt.Fprintf(w, "  env %-26s done        [%3.0f%% — %d/%d units]\n", ev.Env, plan.Percent(), plan.Done, plan.Total)
 			case core.EventEnvSkipped:
 				fmt.Fprintf(w, "  env %-26s not deployed\n", ev.Env)
 			case core.EventEnvFailed:

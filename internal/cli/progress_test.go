@@ -11,12 +11,13 @@ import (
 )
 
 // TestProgressRendersSessionFeed drives the shared renderer with a real
-// (small) Runner session and checks the feed's shape: a started line
-// with the plan size, one line per environment, and the closing
-// complete line.
+// (small) 1-worker Runner session and pins its exact feed: the plan size
+// (two environment tasks plus 22 unit tasks), one started and one done
+// line per environment with the plan counts of the stream at that point,
+// and the closing complete line.
 func TestProgressRendersSessionFeed(t *testing.T) {
 	t.Parallel()
-	spec := &core.StudySpec{Seed: 550001, Envs: []string{"google-gke-cpu", "onprem-a-cpu"}, Scales: []int{2}, Iterations: 1}
+	spec := &core.StudySpec{Seed: 550001, Envs: []string{"google-gke-cpu", "onprem-a-cpu"}, Scales: []int{2}, Iterations: 1, Workers: 1}
 	sess, err := (&core.Runner{}).Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -27,16 +28,17 @@ func TestProgressRendersSessionFeed(t *testing.T) {
 		t.Fatal(err)
 	}
 	drain()
-	out := b.String()
-	for _, want := range []string{
-		"study: started — 2 work units planned",
-		"env google-gke-cpu",
-		"env onprem-a-cpu",
-		"study: complete — 2/2 work units",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("progress feed missing %q:\n%s", want, out)
-		}
+	// Matrix order puts onprem-a-cpu first. An environment's done line
+	// lands before its own task is counted: progress follows env-finished.
+	const want = `study: started — 24 work units planned
+  env onprem-a-cpu               started
+  env onprem-a-cpu               done        [ 92% — 22/24 units]
+  env google-gke-cpu             started
+  env google-gke-cpu             done        [ 96% — 23/24 units]
+study: complete — 24/24 work units
+`
+	if got := b.String(); got != want {
+		t.Fatalf("progress feed:\n%s\nwant:\n%s", got, want)
 	}
 }
 

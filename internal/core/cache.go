@@ -24,7 +24,7 @@ import "sync"
 // not collide. The hash covers exactly the dataset-determining inputs —
 // seed, resolved environments and scales, resolved models, iterations,
 // resolved chaos plan text — and deliberately excludes the execution
-// policy (Workers, Granularity), under which the dataset is invariant,
+// policy (Workers), under which the dataset is invariant,
 // so callers that differ only in policy share one entry. The same
 // invariance is what makes a store entry trustworthy: whatever policy
 // computed it, a warm load is byte-identical.

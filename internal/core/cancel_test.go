@@ -52,8 +52,9 @@ func assertNoCoreGoroutineLeak(t *testing.T, baseline int) {
 // verifyStoreReopens re-opens a disk-backed result store from scratch
 // and self-verifies every artifact in it: each tag must pull cleanly,
 // which re-reads every blob and re-checks every digest end to end. A
-// cancellation that tore an artifact would fail here.
-func verifyStoreReopens(t *testing.T, dir string) {
+// cancellation that tore an artifact would fail here. It returns the
+// number of artifacts verified.
+func verifyStoreReopens(t *testing.T, dir string) int {
 	t.Helper()
 	rs, err := OpenResultStore(dir)
 	if err != nil {
@@ -67,11 +68,18 @@ func verifyStoreReopens(t *testing.T, dir string) {
 		}
 	}
 	t.Logf("store re-opened clean: %d artifacts verified", len(tags))
+	return len(tags)
 }
 
-// TestCancellationMatrix is the satellite coverage matrix: cancel
-// mid-study at both granularities × workers {1, 32}, with a live
-// on-disk store attached. Each cell asserts that Wait returns the
+// TestCancellationMatrix is the cancellation coverage matrix: cancel
+// mid-study at both granularities of the partition plan × workers
+// {1, 32}, with a live on-disk store attached. The granularity names
+// the kind of pool task in flight when the cancel lands: env-app
+// cancels on the first unit-finished, while (env, app) unit tasks run
+// and one unit's planned draws are already stored; env cancels on the
+// first env-started, while an environment's assembly task runs (at
+// workers=1 every unit task precedes it in the queue, so all units are
+// stored by then). Each cell asserts that Wait returns the
 // context error promptly after the in-flight work drains, that no
 // executor or session goroutines leak, and that the store — whose
 // writes a cancellation may race — passes a full self-verifying
@@ -79,19 +87,23 @@ func verifyStoreReopens(t *testing.T, dir string) {
 func TestCancellationMatrix(t *testing.T) {
 	baseline := coreGoroutines()
 	cell := 0
-	for _, gran := range []Granularity{GranularityEnv, GranularityEnvApp} {
+	for _, level := range []struct {
+		granularity string
+		cancelOn    EventKind
+	}{
+		{"env", EventEnvStarted},
+		{"env-app", EventUnitFinished},
+	} {
 		for _, workers := range []int{1, 32} {
 			cell++
-			t.Run(fmt.Sprintf("granularity=%s/workers=%d", gran, workers), func(t *testing.T) {
+			t.Run(fmt.Sprintf("granularity=%s/workers=%d", level.granularity, workers), func(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "store")
 				rs, err := OpenResultStore(dir)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rs.Logf = t.Logf
-				spec := &StudySpec{
-					Seed: uint64(990000 + cell), Workers: workers, Granularity: gran,
-				}
+				spec := &StudySpec{Seed: uint64(990000 + cell), Workers: workers}
 				r := &Runner{Store: rs}
 				sess, err := r.Start(context.Background(), spec)
 				if err != nil {
@@ -105,7 +117,7 @@ func TestCancellationMatrix(t *testing.T) {
 					signaled := false
 					for ev := range ch {
 						evs = append(evs, ev)
-						if !signaled && (ev.Kind == EventEnvStarted || ev.Kind == EventUnitStarted) {
+						if !signaled && ev.Kind == level.cancelOn {
 							signaled = true
 							close(started)
 						}
@@ -141,16 +153,18 @@ func TestCancellationMatrix(t *testing.T) {
 				if total == 0 {
 					t.Fatal("session never recorded a partition plan")
 				}
-				// At workers=1 the cancel lands while task 1 is in flight and
-				// the rest of the plan is still queued, so the skipped tail is
-				// deterministic; at 32 workers every task may already have
-				// been dispatched before the cancel and only the asserts
-				// above apply.
+				// At workers=1 the cancel lands while one task is in flight
+				// and later tasks of the plan are still queued, so the
+				// skipped tail is deterministic; at 32 workers every task
+				// may already have been dispatched before the cancel and
+				// only the asserts above apply.
 				if workers == 1 && done >= total {
 					t.Fatalf("progress %d/%d: cancellation at workers=1 should leave the plan unfinished", done, total)
 				}
 				assertNoCoreGoroutineLeak(t, baseline)
-				verifyStoreReopens(t, dir)
+				if n := verifyStoreReopens(t, dir); level.cancelOn == EventUnitFinished && n == 0 {
+					t.Fatal("a unit finished before the cancel, but the re-opened store holds no artifact")
+				}
 
 				// The same store must then serve a full run cleanly.
 				res, err = (&Runner{Store: rs}).Run(context.Background(), spec)
@@ -184,7 +198,7 @@ func TestCancelBeforeStartReturnsImmediately(t *testing.T) {
 // last) with zero drops.
 func TestManyConcurrentSubscribersRace(t *testing.T) {
 	t.Parallel()
-	spec := &StudySpec{Seed: 990200, Workers: 8, Granularity: GranularityEnvApp}
+	spec := &StudySpec{Seed: 990200, Workers: 8}
 	r := &Runner{}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {

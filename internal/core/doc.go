@@ -8,7 +8,7 @@
 //
 // What a study runs is declared by a StudySpec — environment selection,
 // application selection, scales, iterations, a chaos-plan reference, and
-// the execution policy (workers, granularity). DefaultSpec is the paper's
+// the execution policy (workers). DefaultSpec is the paper's
 // full 13×11×4×5 matrix; any other scenario is a different spec (built
 // programmatically or parsed from a line-oriented spec file via
 // ParseSpec/LoadSpec), not a code change. Runner is the one way to run
@@ -25,10 +25,10 @@
 // builder, and registry — so no mutable state is shared between
 // concurrently running environments. Every shard consumes planned draws:
 // one unit per (environment, application) pair precomputes the pure
-// model/hookup draws (see unit.go). Options.Granularity decides only
-// whether those units run as their own pool tasks (GranularityEnvApp, or
-// any run with a result store), lifting the parallelism cap from the
-// environment count to env×app, or serially inside their shard.
+// model/hookup draws (see unit.go). Each unit runs as its own pool task,
+// and an environment's lifecycle assembly runs once its last unit has
+// resolved, so the parallelism cap is env×app, not the environment
+// count.
 //
 // # Determinism
 //
@@ -42,8 +42,8 @@
 // order of the spec's environments, shifting each shard's virtual
 // timestamps by the summed duration of the shards before it —
 // reconstructing one sequential campaign timeline. The result: a run's
-// dataset is byte-identical for every worker count and granularity, and
-// two runs with the same spec are byte-identical full stop.
+// dataset is byte-identical for every worker count, and two runs with
+// the same spec are byte-identical full stop.
 //
 // # Sessions and observability
 //

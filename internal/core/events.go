@@ -84,8 +84,8 @@ type Event struct {
 	// Incident is the injected fault on EventIncident.
 	Incident *Incident
 	// Done and Total are completed and planned work-unit counts from the
-	// partition plan (environment tasks, plus one task per (env, app)
-	// unit at GranularityEnvApp).
+	// partition plan: one task per environment, plus one per (env, app)
+	// unit of every deployed environment.
 	Done, Total int
 }
 

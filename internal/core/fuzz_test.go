@@ -11,10 +11,10 @@ import (
 // round trip the canonical hash and the spec-file tooling rely on.
 func FuzzSpecParse(f *testing.F) {
 	f.Add(DefaultSpec(DefaultSeed).String())
-	f.Add("seed 7\nenvs azure-* onprem-a-cpu\napps amg2023 lammps\nscales 8 32\niterations 3\nchaos default\nworkers 16\ngranularity env-app\n")
+	f.Add("seed 7\nenvs azure-* onprem-a-cpu\napps amg2023 lammps\nscales 8 32\niterations 3\nchaos default\nworkers 16\n")
 	f.Add("# comment only\n\nseed 1")
 	f.Add("envs *\napps *\nscales default\nchaos none")
-	f.Add("granularity env\nworkers 0")
+	f.Add("workers 0")
 	f.Add("seed 18446744073709551615")
 	f.Add("scales 1 2 3 4 5 6 7 8")
 	f.Add("iterations 1000")

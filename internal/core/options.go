@@ -12,22 +12,14 @@ import (
 
 // Options turn on the operational disciplines the paper's §4.2 suggests,
 // plus the executor's concurrency knob. The zero value reproduces the study
-// as it was actually run (with one shard per environment dispatched over
-// all available CPUs — the dataset is identical for every worker count).
+// as it was actually run (its (environment, application) units and
+// environment assemblies dispatched over all available CPUs — the dataset
+// is identical for every worker count).
 type Options struct {
 	// Workers bounds the number of work units executing at once.
 	// Zero or negative means runtime.NumCPU(). The results do not depend on
 	// this value — only the wall-clock time of a run does.
 	Workers int
-	// Granularity selects where the (environment, application) units run:
-	// GranularityEnv (the default) plans each environment's units serially
-	// inside its shard; GranularityEnvApp dispatches every unit as its own
-	// pool task, lifting the parallelism cap from the environment count to
-	// env×app. A study with a result store attached always dispatches
-	// units as pool tasks. Every shard consumes the same planned draws
-	// either way, so the dataset is byte-identical for every granularity —
-	// only wall-clock changes.
-	Granularity Granularity
 	// PauseBetweenScales inserts a wait after each cluster size so that
 	// lagged cost reporting catches up before committing to the next,
 	// larger (more expensive) size — "Operating on a cloud environment

@@ -387,7 +387,7 @@ func decodeStudy(r *ResolvedSpec, key string, files map[string][]byte) (*Results
 // seed, the environment row (key and effective scales), the application,
 // the iteration count, and the chaos-plan rules matching the environment.
 // Everything else a spec says (which other environments it runs, its
-// worker or granularity policy) is invisible here, which is what lets a
+// worker policy) is invisible here, which is what lets a
 // spec edit that touches one environment reuse every other environment's
 // stored units.
 //

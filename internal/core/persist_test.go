@@ -42,13 +42,12 @@ func dropCacheEntry(t *testing.T, spec *StudySpec) string {
 }
 
 // TestStoreWarmAndIncrementalByteIdenticalSweep is the acceptance sweep
-// for the persistent tier: across granularity × workers {1,4,32}, clean
-// and chaotic, three paths must be byte-identical —
+// for the persistent tier: across workers {1,4,32}, clean and chaotic,
+// three paths must be byte-identical to the store-free baseline —
 //
-//  1. cold compute with a store attached (units run as pool tasks at
-//     every granularity and are saved as they compute) — for the clean
-//     default spec this is additionally pinned against the committed
-//     golden file;
+//  1. cold compute with a store attached (units are saved as they
+//     compute) — for the clean default spec the baseline is additionally
+//     pinned against the committed golden file;
 //  2. a warm whole-study load (decode, no compute);
 //  3. an incremental rerun that finds the units stored but not the study
 //     bundle (the study tag is deleted), so every unit decodes from the
@@ -83,54 +82,52 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 				t.Fatal("chaotic baseline injected nothing; the sweep would prove nothing")
 			}
 
-			for _, g := range []Granularity{GranularityEnv, GranularityEnvApp} {
-				for _, w := range []int{1, 4, 32} {
-					rs, _ := quietStore(t)
-					spec := &StudySpec{Seed: 2025, Chaos: chaosRef, Workers: w, Granularity: g}
+			for _, w := range []int{1, 4, 32} {
+				rs, _ := quietStore(t)
+				spec := &StudySpec{Seed: 2025, Chaos: chaosRef, Workers: w}
 
-					// Path 1: cold compute, store attached.
-					stCold, r := newTestStudy(t, spec, rs)
-					resCold, err := stCold.runSession(context.Background(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := goldenSnapshot(resCold); got != base {
-						t.Fatalf("g=%s w=%d: cold store-attached dataset diverged from baseline", g, w)
-					}
-					if err := rs.SaveStudy(r, resCold); err != nil {
-						t.Fatal(err)
-					}
+				// Path 1: cold compute, store attached.
+				stCold, r := newTestStudy(t, spec, rs)
+				resCold, err := stCold.runSession(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := goldenSnapshot(resCold); got != base {
+					t.Fatalf("w=%d: cold store-attached dataset diverged from baseline", w)
+				}
+				if err := rs.SaveStudy(r, resCold); err != nil {
+					t.Fatal(err)
+				}
 
-					// Path 2: whole-study warm load.
-					resWarm, ok := rs.LoadStudy(r)
-					if !ok {
-						t.Fatalf("g=%s w=%d: saved study missed", g, w)
-					}
-					if got := goldenSnapshot(resWarm); got != base {
-						t.Fatalf("g=%s w=%d: warm-from-store dataset not byte-identical", g, w)
-					}
+				// Path 2: whole-study warm load.
+				resWarm, ok := rs.LoadStudy(r)
+				if !ok {
+					t.Fatalf("w=%d: saved study missed", w)
+				}
+				if got := goldenSnapshot(resWarm); got != base {
+					t.Fatalf("w=%d: warm-from-store dataset not byte-identical", w)
+				}
 
-					// Path 3: incremental — units present, bundle gone.
-					if err := rs.reg.Backend().DeleteRef("oras/tag/study/" + r.Hash()); err != nil {
-						t.Fatal(err)
-					}
-					if _, ok := rs.LoadStudy(r); ok {
-						t.Fatal("study tag deletion did not take")
-					}
-					stInc, _ := newTestStudy(t, spec, rs)
-					resInc, err := stInc.runSession(context.Background(), nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := goldenSnapshot(resInc); got != base {
-						t.Fatalf("g=%s w=%d: unit-reuse dataset not byte-identical", g, w)
-					}
-					if n := stInc.unitComputes.Load(); n != 0 {
-						t.Fatalf("g=%s w=%d: incremental rerun recomputed %d units, want 0", g, w, n)
-					}
-					if stCold.unitComputes.Load() == 0 {
-						t.Fatalf("g=%s w=%d: cold run computed no units — probe is broken", g, w)
-					}
+				// Path 3: incremental — units present, bundle gone.
+				if err := rs.reg.Backend().DeleteRef("oras/tag/study/" + r.Hash()); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := rs.LoadStudy(r); ok {
+					t.Fatal("study tag deletion did not take")
+				}
+				stInc, _ := newTestStudy(t, spec, rs)
+				resInc, err := stInc.runSession(context.Background(), nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := goldenSnapshot(resInc); got != base {
+					t.Fatalf("w=%d: unit-reuse dataset not byte-identical", w)
+				}
+				if n := stInc.unitComputes.Load(); n != 0 {
+					t.Fatalf("w=%d: incremental rerun recomputed %d units, want 0", w, n)
+				}
+				if stCold.unitComputes.Load() == 0 {
+					t.Fatalf("w=%d: cold run computed no units — probe is broken", w)
 				}
 			}
 		})
@@ -485,11 +482,10 @@ func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
 }
 
 // TestParallelCodecArtifactsSha256Identical pins the serialization
-// rework at the artifact level: bundle files encode concurrently,
-// units encode/decode as independent pool tasks at any granularity, and
-// none of that may move a single byte — every stored artifact (the
-// study bundle and each unit artifact) must hash identically across
-// worker counts 1, 4, and 32. The dataset-level sweep above proves the
+// rework at the artifact level: bundle files encode concurrently, units
+// encode/decode as independent pool tasks, and none of that may move a
+// single byte — every stored artifact (the study bundle and each unit
+// artifact) must hash identically across worker counts 1, 4, and 32. The dataset-level sweep above proves the
 // decoded views agree; this proves the stored bytes themselves do.
 func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 	t.Parallel()

@@ -66,7 +66,7 @@ func (r *Runner) Run(ctx context.Context, spec *StudySpec) (*Results, error) {
 //
 // Concurrent Start calls for the same resolved spec share one
 // execution. The leading session observes it fully (env, unit, incident
-// events); following sessions observe it at study granularity only
+// events); following sessions observe only its study-level events
 // (started, then cached/failed) — their Wait returns the shared result
 // either way. Cancelling the leading session cancels the shared
 // execution; cancelling a follower detaches only that follower.
@@ -88,7 +88,7 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 		// Apply the hook to a probe copy of the options the study would
 		// start with, so observation-only configuration (ReplayEvents)
 		// can be told apart from dataset-affecting configuration.
-		base := Options{Workers: spec.Workers, Granularity: spec.Granularity, Chaos: rspec.Plan}
+		base := Options{Workers: spec.Workers, Chaos: rspec.Plan}
 		opts := base
 		r.Configure(&opts)
 		sess.setReplayBound(opts.ReplayEvents)
@@ -180,7 +180,7 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 }
 
 // follow attaches a session to an in-flight (or already-complete)
-// single-flight entry: study-granularity events only, shared outcome.
+// single-flight entry: study-level events only, shared outcome.
 // The follower's own context can detach it early; the shared execution
 // keeps running for whoever leads it.
 func (s *Session) follow(ctx context.Context, cancel context.CancelFunc, e *cacheEntry) {

@@ -38,10 +38,9 @@ func kinds(evs []Event, k EventKind) []Event {
 }
 
 // TestSessionIsPureObservation is the acceptance check for the event
-// layer: a fully subscribed session, at the widest partition plan
-// (env-app × 32 workers), must produce the dataset byte-for-byte pinned
-// by the committed seed-2025 golden file — events draw nothing and
-// reorder nothing. It also pins the stream's shape: opens with
+// layer: a fully subscribed session at 32 workers must produce the
+// dataset byte-for-byte pinned by the committed seed-2025 golden file —
+// events draw nothing and reorder nothing. It also pins the stream's shape: opens with
 // study-started, closes with study-finished, brackets every environment
 // and unit, and drives progress exactly through the partition plan.
 func TestSessionIsPureObservation(t *testing.T) {
@@ -50,7 +49,7 @@ func TestSessionIsPureObservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := &StudySpec{Seed: 2025, Workers: 32, Granularity: GranularityEnvApp}
+	spec := &StudySpec{Seed: 2025, Workers: 32}
 	st, _ := newTestStudy(t, spec, nil)
 	sess := newSession(func() {})
 	ch, _ := sess.Subscribe()

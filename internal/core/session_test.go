@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ import (
 // nothing counted missed — provided the replay ring is wide enough.
 func TestSubscribeFromResumesExactly(t *testing.T) {
 	t.Parallel()
-	spec := &StudySpec{Seed: 770001, Workers: 1, Granularity: GranularityEnvApp}
+	spec := &StudySpec{Seed: 770001, Workers: 1}
 	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = 1 << 14 }}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
@@ -170,5 +171,44 @@ func TestObservationOnlyConfigureKeepsCacheTiers(t *testing.T) {
 	}
 	if res != base {
 		t.Fatal("observation-only Configure fell off the memory tier: got a recomputed dataset")
+	}
+}
+
+// TestEventStreamIndependentOfStore pins the single partition plan: a
+// 1-worker session emits the same stream — kinds, coordinates and plan
+// counts — with no result store as over a fresh one, because every
+// deployed environment's units run as their own pool tasks either way.
+// Not parallel: it flushes the process-wide memory tier before each run.
+func TestEventStreamIndependentOfStore(t *testing.T) {
+	spec := &StudySpec{Seed: 770005, Envs: []string{"aws-eks-cpu", "onprem-a-cpu"}, Scales: []int{2, 4}, Iterations: 2, Workers: 1}
+	type step struct {
+		Kind        EventKind
+		Env, App    string
+		Done, Total int
+	}
+	stream := func(rs *ResultStore) []step {
+		t.Helper()
+		FlushCachedRuns()
+		sess, err := (&Runner{Store: rs}).Start(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, _ := sess.Subscribe()
+		join := collectEvents(ch)
+		if _, err := sess.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		var steps []step
+		for _, ev := range join() {
+			steps = append(steps, step{ev.Kind, ev.Env, ev.App, ev.Done, ev.Total})
+		}
+		return steps
+	}
+	bare := stream(nil)
+	rs, _ := quietStore(t)
+	stored := stream(rs)
+	if !reflect.DeepEqual(bare, stored) {
+		t.Fatalf("event stream depends on the store: %d events without one, %d with one\nwithout: %v\nwith:    %v",
+			len(bare), len(stored), bare, stored)
 	}
 }

@@ -184,7 +184,6 @@ func (sh *shard) run() {
 			"environment not deployed: %s", sh.spec.Unavailable)
 		return
 	}
-	sh.ensureUnits()
 	sh.requestQuota()
 	if err := sh.runEnvironment(); err != nil {
 		sh.err = fmt.Errorf("core: environment %s: %w", sh.spec.Key, err)

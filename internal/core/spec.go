@@ -16,46 +16,13 @@ import (
 // golden reproduction every regression test pins.
 const DefaultSeed = 2025
 
-// Granularity selects the executor's work-partitioning unit. It is an
-// execution knob like Options.Workers: the dataset is byte-identical for
-// every granularity, only the shape of the parallelism changes.
-type Granularity string
-
-const (
-	// GranularityEnv partitions the study into one unit per environment —
-	// the classic shard. Parallelism is capped at the environment count.
-	GranularityEnv Granularity = "env"
-	// GranularityEnvApp additionally splits every environment's model
-	// evaluations into one unit per (environment, application) pair. The
-	// units precompute the per-run model and hookup draws from their
-	// private "core/run/<env>/<app>" streams; the environment stage then
-	// replays the lifecycle (provisioning, scheduling, chaos, audits)
-	// consuming those draws in canonical order. With 13 environments and
-	// 11 applications that is >140 units, so the pool keeps scaling past
-	// 13 workers.
-	GranularityEnvApp Granularity = "env-app"
-)
-
-// ParseGranularity parses a granularity name ("" means GranularityEnv).
-func ParseGranularity(s string) (Granularity, error) {
-	switch s {
-	case "", string(GranularityEnv):
-		return GranularityEnv, nil
-	case string(GranularityEnvApp):
-		return GranularityEnvApp, nil
-	default:
-		return "", fmt.Errorf("core: unknown granularity %q (want %q or %q)",
-			s, GranularityEnv, GranularityEnvApp)
-	}
-}
-
 // StudySpec is the declarative description of what a study runs: which
 // environments, which applications, at which cluster sizes, how many
 // iterations, under which fault plan — plus the execution policy (worker
-// count, partitioning granularity) that does not affect the dataset. It
-// replaces the hardcoded 13×11×4×5 matrix as the single source of truth:
-// the default spec reproduces the paper's study exactly, and every other
-// scenario is a different spec, not a code change.
+// count) that does not affect the dataset. It replaces the hardcoded
+// 13×11×4×5 matrix as the single source of truth: the default spec
+// reproduces the paper's study exactly, and every other scenario is a
+// different spec, not a code change.
 //
 // Specs are built programmatically or parsed from a line-oriented spec
 // file (see ParseSpec). The zero value is normalized to the full default
@@ -88,9 +55,6 @@ type StudySpec struct {
 	// Workers bounds concurrent work units; 0 means runtime.NumCPU().
 	// Execution policy only — never part of the spec hash.
 	Workers int
-	// Granularity selects the work-partitioning unit ("" means env).
-	// Execution policy only — never part of the spec hash.
-	Granularity Granularity
 }
 
 // DefaultSpec returns the paper's full study at the given seed: every
@@ -119,9 +83,6 @@ func (s *StudySpec) normalize() {
 	if s.Workers < 0 {
 		s.Workers = 0 // the executor treats both as "all CPUs"
 	}
-	if s.Granularity == "" {
-		s.Granularity = GranularityEnv
-	}
 }
 
 // validate rejects specs that cannot be resolved deterministically.
@@ -131,9 +92,6 @@ func (s *StudySpec) validate() error {
 	}
 	if s.Workers > 1<<16 {
 		return fmt.Errorf("core: spec workers %d above 65536", s.Workers)
-	}
-	if _, err := ParseGranularity(string(s.Granularity)); err != nil {
-		return err
 	}
 	if len(s.Envs) > 256 || len(s.Apps) > 256 || len(s.Scales) > 64 {
 		return fmt.Errorf("core: spec selector list too long")
@@ -183,7 +141,6 @@ func (s *StudySpec) String() string {
 		fmt.Fprintf(&b, "chaos %s\n", s.Chaos)
 	}
 	fmt.Fprintf(&b, "workers %d\n", s.Workers)
-	fmt.Fprintf(&b, "granularity %s\n", s.Granularity)
 	return b.String()
 }
 
@@ -192,7 +149,7 @@ func (s *StudySpec) String() string {
 //	<key> <value...>
 //
 // with '#' comments and blank lines ignored. Keys are seed, envs, apps,
-// scales, iterations, chaos, workers, and granularity; all are optional
+// scales, iterations, chaos, and workers; all are optional
 // (missing keys take the study defaults — a missing seed line means
 // DefaultSeed) but none may repeat. Unknown keys, malformed values, and
 // out-of-range values are errors. The parsed spec is normalized and
@@ -278,16 +235,6 @@ func ParseSpec(src string) (*StudySpec, error) {
 				return nil, fmt.Errorf("core: spec line %d: workers: %v", lineNo+1, err)
 			}
 			s.Workers = n
-		case "granularity":
-			v, err := single()
-			if err != nil {
-				return nil, err
-			}
-			g, err := ParseGranularity(v)
-			if err != nil {
-				return nil, fmt.Errorf("core: spec line %d: %v", lineNo+1, err)
-			}
-			s.Granularity = g
 		default:
 			return nil, fmt.Errorf("core: spec line %d: unknown key %q", lineNo+1, key)
 		}
@@ -375,8 +322,8 @@ func (s *StudySpec) Resolve() (*ResolvedSpec, error) {
 // the dataset: the seed, the resolved environment rows (keys and scales),
 // the resolved model names, the iteration count, and the resolved chaos
 // plan text (so two references to the same plan hash alike, and editing a
-// plan file changes the hash). Execution policy — Workers, Granularity —
-// is deliberately excluded: the dataset is invariant under it, so cache
+// plan file changes the hash). Execution policy — Workers — is
+// deliberately excluded: the dataset is invariant under it, so cache
 // entries are shared across it.
 func (s *StudySpec) Hash() (string, error) {
 	r, err := s.Resolve()

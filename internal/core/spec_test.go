@@ -41,7 +41,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 	specs := []*StudySpec{
 		DefaultSpec(2025),
 		{Seed: 7, Envs: []string{"azure-*", "onprem-a-cpu"}, Apps: []string{"amg2023", "lammps"},
-			Scales: []int{8, 32}, Iterations: 3, Chaos: "default", Workers: 16, Granularity: GranularityEnvApp},
+			Scales: []int{8, 32}, Iterations: 3, Chaos: "default", Workers: 16},
 	}
 	for _, s := range specs {
 		s.normalize()
@@ -65,13 +65,12 @@ apps kripke
 scales 32 64
 iterations 2
 chaos none
-granularity env-app
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &StudySpec{Seed: 99, Envs: []string{"aws-*", "google-gke-cpu"}, Apps: []string{"kripke"},
-		Scales: []int{32, 64}, Iterations: 2, Chaos: "none", Granularity: GranularityEnvApp}
+		Scales: []int{32, 64}, Iterations: 2, Chaos: "none"}
 	want.normalize()
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("parsed %+v, want %+v", s, want)
@@ -83,12 +82,12 @@ func TestParseSpecRejects(t *testing.T) {
 	for _, src := range []string{
 		"seed x",              // malformed value
 		"frobnicate 3",        // unknown key
+		"granularity env-app", // removed key: there is one partition plan
 		"seed 1\nseed 2",      // repeated key
 		"iterations 0",        // out of range
 		"iterations 1 2",      // extra value
 		"scales 64 32",        // not ascending
 		"scales -1",           // out of range
-		"granularity per-run", // unknown granularity
 		"envs",                // key without value
 	} {
 		if _, err := ParseSpec(src); err == nil {
@@ -272,13 +271,12 @@ func TestSpecHashSeparatesSpecsAtSameSeed(t *testing.T) {
 	// under it, so policy-only variants share a cache entry.
 	policy := DefaultSpec(2025)
 	policy.Workers = 32
-	policy.Granularity = GranularityEnvApp
 	h, err := policy.Hash()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h != baseHash {
-		t.Fatal("Workers/Granularity changed the spec hash; cache entries would needlessly split")
+		t.Fatal("Workers changed the spec hash; cache entries would needlessly split")
 	}
 	// The chaos reference hashes by resolved plan text, not by spelling:
 	// a file containing the default plan hashes like "default".
@@ -326,8 +324,8 @@ func TestRunnerSameSeedSpecsDoNotCollide(t *testing.T) {
 		t.Fatal("identical specs must share one cache entry")
 	}
 	// And a policy-only difference shares the default-spec entry: the
-	// hash excludes workers and granularity.
-	fullAgain, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Workers: 3, Granularity: GranularityEnvApp})
+	// hash excludes workers.
+	fullAgain, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,7 +113,7 @@ type Results struct {
 // newStudy builds a study from an already-materialized spec: the spec's
 // environment and application selections become the study matrix, its
 // scale override and iteration count apply, its chaos reference is
-// resolved into Options.Chaos, and its worker/granularity policy lands in
+// resolved into Options.Chaos, and its worker policy lands in
 // Options. Runner resolves once and builds from that, so the dataset
 // executed always matches the key it is memoized under even if a
 // referenced chaos plan file changes on disk in between.
@@ -125,11 +125,7 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 		meter.SetBudget(p, BudgetPerCloudUSD)
 	}
 	return &study{
-		Opts: Options{
-			Workers:     spec.Workers,
-			Granularity: spec.Granularity,
-			Chaos:       r.Plan,
-		},
+		Opts:       Options{Workers: spec.Workers, Chaos: r.Plan},
 		Sim:        s,
 		Log:        log,
 		Meter:      meter,
@@ -148,24 +144,22 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 // observation — no RNG draws, no ordering impact — and nil-safe, so an
 // unobserved run (sess == nil) pays nothing.
 //
-// Execution follows a work-partitioning plan. Every environment of the
+// Execution follows one work-partitioning plan. Every environment of the
 // matrix runs as one independent shard with its own virtual clock, event
 // queue, RNG streams, and substrate instances, and every shard consumes
-// planned (env, app) unit draws (see unit.go). At GranularityEnvApp — and
-// whenever a result store is attached — the units run as their own pool
-// tasks, and the environment's lifecycle assembly is enqueued by
-// whichever of its units finishes last, so assemblies overlap with other
-// environments' units and the pool keeps scaling past the environment
-// count. Otherwise each shard plans its units serially before its
-// assembly. All tasks are dispatched over a pool of Options.Workers
-// goroutines (default runtime.NumCPU()).
+// planned (env, app) unit draws (see unit.go). Each unit of a deployed
+// environment runs as its own pool task, and the environment's lifecycle
+// assembly is enqueued by whichever of its units finishes last, so
+// assemblies overlap with other environments' units and the pool keeps
+// scaling past the environment count. All tasks are dispatched over a
+// pool of Options.Workers goroutines (default runtime.NumCPU()).
 //
 // Because every unit's and shard's behaviour depends only on the root
 // seed and its own (env, app) coordinates — never on which worker ran it
 // or when — and the hierarchical merge always stitches units into their
 // environment in canonical application order and environments into the
 // study in matrix order, the returned Results — run records, trace, and
-// billing — are byte-identical for every worker count and granularity.
+// billing — are byte-identical for every worker count.
 //
 // Cancelling ctx stops dispatching new work units, drains the in-flight
 // ones (each of which also checks the context between scales and
@@ -173,10 +167,6 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 // runtime), skips the merge, and returns ctx's error. The persistent
 // store is never left torn: every artifact write is atomic.
 func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error) {
-	gran, err := ParseGranularity(string(st.Opts.Granularity))
-	if err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -196,19 +186,9 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	// whole plan and completion is tracked by counting tasks, not by
 	// closing the channel early.
 	total := len(shards)
-	// Units are dispatched as their own pool tasks at GranularityEnvApp
-	// (the fine-grained policy) and whenever a result store is attached:
-	// dispatching the store's per-unit encode (cold) and decode (warm)
-	// across the worker pool keeps the serialization off the
-	// environments' critical path instead of running it as a serial
-	// per-shard loop. Byte-identity across granularities makes the
-	// outputs indistinguishable.
-	unitized := gran == GranularityEnvApp || st.Store != nil
-	if unitized {
-		for _, sh := range shards {
-			if sh.spec.Unavailable == "" {
-				total += len(sh.models)
-			}
+	for _, sh := range shards {
+		if sh.spec.Unavailable == "" {
+			total += len(sh.models)
 		}
 	}
 	workers := st.Opts.Workers
@@ -241,7 +221,7 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	}
 	for _, sh := range shards {
 		sh := sh
-		if !unitized || sh.spec.Unavailable != "" || len(sh.models) == 0 {
+		if sh.spec.Unavailable != "" || len(sh.models) == 0 {
 			queue <- st.envTask(ctx, sess, sh)
 			continue
 		}

@@ -23,10 +23,9 @@ import (
 // pair — so they are a pure function of (seed, env, app, scale order) and
 // can be computed anywhere, in any order, on any worker. Every shard
 // consumes them as planned draws: a unit precomputes one application's
-// draws, and the environment assembly replays the lifecycle over them.
-// Granularity decides only where units run — as their own pool tasks
-// (GranularityEnvApp, or any study with a result store), or serially
-// inside their shard before the assembly (GranularityEnv without one).
+// draws as its own pool task, and the environment assembly — enqueued by
+// the environment's last unit to resolve — replays the lifecycle over
+// them.
 //
 // The merge is hierarchical and deterministic at every level: units feed
 // their environment's assembly in canonical application order, and
@@ -120,47 +119,34 @@ func planUnit(seed uint64, spec apps.EnvSpec, m apps.Model, iterations int, hook
 
 // PlanUnitForBench exposes the (env, app) unit precompute to the root
 // benchmark harness, which uses it to measure the fraction of the study
-// the env-app granularity moves off the environments' critical path. It
+// that runs as unit tasks, off the environments' critical path. It
 // returns the number of planned runs.
 func PlanUnitForBench(seed uint64, spec apps.EnvSpec, m apps.Model, iterations int, hookup *network.HookupModel) int {
 	return len(planUnit(seed, spec, m, iterations, hookup).runs)
 }
 
-// unitSource says which tier served a unit — the observation feed for
-// resolveUnit's closing event.
-type unitSource int
-
-const (
-	unitFilled    unitSource = iota // already planned (dispatched earlier)
-	unitFromStore                   // decoded from the persistent store
-	unitRemote                      // computed by a fleet worker, then decoded
-	unitComputed                    // computed on the calling worker
-)
-
 // ensureUnit makes one (env, app) unit's planned draws available, in
-// tier order: already filled (no-op), decoded from the persistent result
-// store (a unit whose sub-hash was stored by any earlier study — the
-// incremental-execution path), offloaded to an attached fleet of remote
-// workers (which push the artifact into the same store), or computed on
-// the calling worker and stored for the next study. It reports the
-// serving tier. Units of the same shard may run concurrently: each owns
-// a private simulation, and each writes only its own planned-run slot.
-func (sh *shard) ensureUnit(appIdx int) unitSource {
-	if sh.planned[appIdx] != nil {
-		return unitFilled
-	}
+// tier order: decoded from the persistent result store (a unit whose
+// sub-hash was stored by any earlier study — the incremental-execution
+// path), offloaded to an attached fleet of remote workers (which push the
+// artifact into the same store), or computed on the calling worker and
+// stored for the next study. It returns the event that reports the
+// serving tier: EventUnitCached, EventUnitRemote, or EventUnitFinished.
+// Units of the same shard may run concurrently: each owns a private
+// simulation, and each writes only its own planned-run slot.
+func (sh *shard) ensureUnit(appIdx int) EventKind {
 	m := sh.models[appIdx]
 	var key string
 	if sh.store != nil {
 		key = UnitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.opts.Chaos)
 		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations, sh.logf); ok {
 			sh.planned[appIdx] = u
-			return unitFromStore
+			return EventUnitCached
 		}
 		if sh.fleet != nil {
 			if u, ok := sh.offloadUnit(key, m.Name()); ok {
 				sh.planned[appIdx] = u
-				return unitRemote
+				return EventUnitRemote
 			}
 		}
 	}
@@ -173,7 +159,7 @@ func (sh *shard) ensureUnit(appIdx int) unitSource {
 		}, u, sh.logf)
 	}
 	sh.planned[appIdx] = u
-	return unitComputed
+	return EventUnitFinished
 }
 
 // offloadUnit publishes one unit to the attached fleet and, when a
@@ -194,37 +180,13 @@ func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
 }
 
 // resolveUnit is ensureUnit bracketed by its observation events: one
-// EventUnitStarted, then EventUnitCached (filled or store-decoded),
-// EventUnitRemote (fleet-computed), or EventUnitFinished (computed
-// locally). Emission is pure observation; with no session attached this
-// is exactly ensureUnit.
+// EventUnitStarted, then the closing event ensureUnit returns. Emission
+// is pure observation; with no session attached this is exactly
+// ensureUnit. Each unit task calls it exactly once.
 func (sh *shard) resolveUnit(appIdx int) {
-	m := sh.models[appIdx]
-	sh.sess.emit(Event{Kind: EventUnitStarted, Env: sh.spec.Key, App: m.Name()})
-	kind := EventUnitFinished
-	switch sh.ensureUnit(appIdx) {
-	case unitFilled, unitFromStore:
-		kind = EventUnitCached
-	case unitRemote:
-		kind = EventUnitRemote
-	}
-	sh.sess.emit(Event{Kind: kind, Env: sh.spec.Key, App: m.Name()})
-}
-
-// ensureUnits fills every unit slot that was not dispatched as its own
-// work unit — the store-less GranularityEnv path, where the shard is one
-// task and plans its units serially before replaying the lifecycle. It
-// calls ensureUnit, not resolveUnit: that path has never emitted unit
-// events, and staying silent keeps its session streams unchanged.
-// Cancellation stops between units; the caller notices via its own
-// context checks before it draws.
-func (sh *shard) ensureUnits() {
-	for i := range sh.models {
-		if sh.canceled() != nil {
-			return
-		}
-		sh.ensureUnit(i) // a no-op for units dispatched as their own tasks
-	}
+	app := sh.models[appIdx].Name()
+	sh.sess.emit(Event{Kind: EventUnitStarted, Env: sh.spec.Key, App: app})
+	sh.sess.emit(Event{Kind: sh.ensureUnit(appIdx), Env: sh.spec.Key, App: app})
 }
 
 // draw produces the model result and hookup time of one run from the

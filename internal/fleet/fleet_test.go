@@ -422,12 +422,11 @@ func TestOffloadContextCancellation(t *testing.T) {
 func TestStudyByteIdentity(t *testing.T) {
 	spec := func() *core.StudySpec {
 		return &core.StudySpec{
-			Seed:        880777,
-			Envs:        []string{"google-gke-cpu", "aws-eks-cpu"},
-			Scales:      []int{2, 4},
-			Iterations:  2,
-			Workers:     4,
-			Granularity: core.GranularityEnvApp,
+			Seed:       880777,
+			Envs:       []string{"google-gke-cpu", "aws-eks-cpu"},
+			Scales:     []int{2, 4},
+			Iterations: 2,
+			Workers:    4,
 		}
 	}
 

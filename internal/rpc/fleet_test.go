@@ -71,7 +71,7 @@ func TestFleetWorkerEndToEnd(t *testing.T) {
 	// memory tier flushed so a repeat run (-count=N) computes its units
 	// again instead of serving the study from memory.
 	core.FlushCachedRuns()
-	spec := "seed 880915\nenvs google-gke-cpu aws-eks-cpu\nscales 2 4\niterations 2\ngranularity env-app\n"
+	spec := "seed 880915\nenvs google-gke-cpu aws-eks-cpu\nscales 2 4\niterations 2\n"
 	sub, err := client.Submit(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func TestConcurrentClientsSingleFlightRace(t *testing.T) {
 		Runner: &core.Runner{Configure: func(o *core.Options) { o.Workers = runtime.NumCPU() }},
 		Drain:  DrainCancel,
 	}
-	const spec = "seed 881001\\nenvs aws-eks-cpu google-gke-cpu\\nscales 2 4\\niterations 2\\ngranularity env-app\\n"
+	const spec = "seed 881001\\nenvs aws-eks-cpu google-gke-cpu\\nscales 2 4\\niterations 2\\n"
 	submitLine := `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"` + spec + `"}}`
 
 	const collectors = 5

@@ -264,9 +264,9 @@ func TestTranscriptHappyPath(t *testing.T) {
 	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880001\nenvs google-gke-cpu\nscales 2\niterations 1\n"}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1"}}`)
-	// Response, then study-started, env-started, env-finished, progress,
-	// study-finished.
-	lines := c.recvN(6)
+	// Response, then study-started, started/finished/progress for each of
+	// the 11 units, env-started, env-finished, progress, study-finished.
+	lines := c.recvN(39)
 	c.send(`{"jsonrpc":"2.0","id":4,"method":"study.progress","params":{"session":"S1"}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":5,"method":"study.cancel","params":{"session":"S1"}}`)
@@ -286,8 +286,8 @@ func TestTranscriptHappyPath(t *testing.T) {
 // TestTranscriptCancelMidStudy pins cooperative cancellation while an
 // environment is mid-flight, plus live unsubscribe/resubscribe-from-
 // cursor: the big single-environment spec emits nothing between
-// env-started and the cancellation's own events, so the stream around
-// the cancel is deterministic. The cancel acknowledgement is written
+// env-started (which follows its 11 units) and the cancellation's own
+// events, so the stream around the cancel is deterministic. The cancel acknowledgement is written
 // before the cancellation is triggered, so it always precedes the
 // failure events it provokes.
 func TestTranscriptCancelMidStudy(t *testing.T) {
@@ -299,10 +299,10 @@ func TestTranscriptCancelMidStudy(t *testing.T) {
 	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880002\nenvs google-gke-cpu\nscales 2 4 8 16 32 64 128 256\niterations 1000\n"}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1"}}`)
-	c.recvN(3) // response, study-started, env-started — then the stream goes quiet
+	c.recvN(36) // response, study-started, 11 units × 3 events, env-started — then the stream goes quiet
 	c.send(`{"jsonrpc":"2.0","id":4,"method":"study.unsubscribe","params":{"session":"S1"}}`)
 	c.recv()
-	c.send(`{"jsonrpc":"2.0","id":5,"method":"study.subscribe","params":{"session":"S1","after":2}}`)
+	c.send(`{"jsonrpc":"2.0","id":5,"method":"study.subscribe","params":{"session":"S1","after":35}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":6,"method":"study.cancel","params":{"session":"S1"}}`)
 	c.recvN(4) // ack, then env-failed, progress, study-failed
@@ -330,7 +330,7 @@ func TestTranscriptReattach(t *testing.T) {
 	c1.send(submitLine)
 	c1.recv()
 	c1.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1"}}`)
-	// Response plus the first four events (through the first env's
+	// Response plus the first four events (through the first unit's
 	// progress), then the connection dies mid-stream.
 	prefix := c1.recvN(5)
 	c1.drop()
@@ -341,7 +341,7 @@ func TestTranscriptReattach(t *testing.T) {
 	c2.send(submitLine)
 	c2.recv()
 	c2.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1","after":4}}`)
-	tail := c2.recvN(5) // response plus events 5..8
+	tail := c2.recvN(71) // response plus events 5..74
 	c2.send(`{"jsonrpc":"2.0","id":4,"method":"study.progress","params":{"session":"S1"}}`)
 	c2.recv()
 	c2.send(`{"jsonrpc":"2.0","id":5,"method":"shutdown"}`)
@@ -349,7 +349,7 @@ func TestTranscriptReattach(t *testing.T) {
 	c2.finish()
 
 	// The cursor arithmetic, independent of the golden bytes: C1 saw
-	// seqs 1..4, C2 resumed after 4 and saw 5..8 — one contiguous stream.
+	// seqs 1..4, C2 resumed after 4 and saw 5..74 — one contiguous stream.
 	for i, line := range append(append([]string(nil), prefix[1:]...), tail[1:]...) {
 		if seq := eventSeq(t, line); seq != uint64(i+1) {
 			t.Errorf("event %d has seq %d, want %d (reattach must continue the sequence exactly)", i, seq, i+1)

@@ -35,7 +35,7 @@
 # numbers on purpose) and note the machine in the "host" field.
 set -e
 
-pattern="${1:-BenchmarkFullStudy\$|BenchmarkFullStudyGranularity|BenchmarkUnitPrecompute|BenchmarkTraceLog|BenchmarkStreamDraws}"
+pattern="${1:-BenchmarkFullStudy\$|BenchmarkUnitPrecompute|BenchmarkTraceLog|BenchmarkStreamDraws}"
 note="${2:-full-study executor wall-clock baseline; ns_per_op medians move with hardware — compare shapes, not absolutes}"
 packages="${3:-. ./internal/trace ./internal/sim}"
 
