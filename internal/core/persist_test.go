@@ -481,6 +481,32 @@ func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
 	}
 }
 
+// artifactSums hashes every tagged artifact in the store: for each tag,
+// the sha256 of its files in name order, each prefixed by its name and
+// length, so a moved byte, a renamed file or a dropped file all show.
+func artifactSums(t *testing.T, rs *ResultStore) map[string]string {
+	t.Helper()
+	sums := make(map[string]string)
+	for _, tag := range rs.Registry().Tags() {
+		files, err := rs.Registry().Pull(tag)
+		if err != nil {
+			t.Fatalf("pull %s: %v", tag, err)
+		}
+		names := make([]string, 0, len(files))
+		for n := range files {
+			names = append(names, n)
+		}
+		sort.Strings(names)
+		h := sha256.New()
+		for _, n := range names {
+			fmt.Fprintf(h, "%s %d\n", n, len(files[n]))
+			h.Write(files[n])
+		}
+		sums[tag] = fmt.Sprintf("%x", h.Sum(nil))
+	}
+	return sums
+}
+
 // TestParallelCodecArtifactsSha256Identical pins the serialization
 // rework at the artifact level: bundle files encode concurrently, units
 // encode/decode as independent pool tasks, and none of that may move a
@@ -489,28 +515,6 @@ func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
 // decoded views agree; this proves the stored bytes themselves do.
 func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 	t.Parallel()
-	artifactSums := func(rs *ResultStore) map[string]string {
-		sums := make(map[string]string)
-		for _, tag := range rs.Registry().Tags() {
-			files, err := rs.Registry().Pull(tag)
-			if err != nil {
-				t.Fatalf("pull %s: %v", tag, err)
-			}
-			names := make([]string, 0, len(files))
-			for n := range files {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			h := sha256.New()
-			for _, n := range names {
-				fmt.Fprintf(h, "%s %d\n", n, len(files[n]))
-				h.Write(files[n])
-			}
-			sums[tag] = fmt.Sprintf("%x", h.Sum(nil))
-		}
-		return sums
-	}
-
 	var golden map[string]string
 	goldenWorkers := 0
 	for _, w := range []int{1, 4, 32} {
@@ -524,7 +528,7 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 		if err := rs.SaveStudy(r, res); err != nil {
 			t.Fatal(err)
 		}
-		sums := artifactSums(rs)
+		sums := artifactSums(t, rs)
 		if len(sums) < 2 {
 			t.Fatalf("workers=%d: only %d artifacts stored; expected a study bundle plus units", w, len(sums))
 		}
@@ -541,4 +545,72 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStoreArtifactsGolden pins the stored bytes across commits. The
+// worker sweep above compares runs within one commit, so a codec change
+// that moved every digest at once would pass it; this test compares
+// every artifact the seed-2025 study stores, clean and under the default
+// chaos plan, against the committed "tag sha256" lines. Regenerate
+// deliberately with:
+//
+//	go test ./internal/core -run TestStoreArtifactsGolden -update
+func TestStoreArtifactsGolden(t *testing.T) {
+	t.Parallel()
+	rs, _ := quietStore(t)
+	for _, chaosRef := range []string{"", "default"} {
+		st, r := newTestStudy(t, &StudySpec{Seed: 2025, Chaos: chaosRef}, rs)
+		res, err := st.runSession(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.SaveStudy(r, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sums := artifactSums(t, rs)
+	tags := make([]string, 0, len(sums))
+	for tag := range sums {
+		tags = append(tags, tag)
+	}
+	sort.Strings(tags)
+	var b strings.Builder
+	for _, tag := range tags {
+		fmt.Fprintf(&b, "%s %s\n", tag, sums[tag])
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "store_artifacts_seed2025.txt")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s (%d artifacts)", path, len(tags))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run with -update to create): %v", err)
+	}
+	if got == string(want) {
+		return
+	}
+	wantSums := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
+		if tag, sum, ok := strings.Cut(line, " "); ok {
+			wantSums[tag] = sum
+		}
+	}
+	for _, tag := range tags {
+		if w, ok := wantSums[tag]; !ok {
+			t.Errorf("artifact %s stored but not in the golden file", tag)
+		} else if w != sums[tag] {
+			t.Errorf("artifact %s sha256 %s, golden %s", tag, sums[tag], w)
+		}
+		delete(wantSums, tag)
+	}
+	for tag := range wantSums {
+		t.Errorf("golden artifact %s no longer stored", tag)
+	}
+	t.Error("(rerun with -update only if the change is intentional)")
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"cloudhpc/internal/jsonl"
@@ -38,6 +39,72 @@ type Record struct {
 	Wall    time.Duration `json:"wall_ns"`
 	Hookup  time.Duration `json:"hookup_ns"`
 	CostUSD float64       `json:"cost_usd"`
+}
+
+// AppendJSONL appends the record's JSON line, without the newline: the
+// bytes json.Encoder writes for it, field for field.
+func (r *Record) AppendJSONL(b []byte) ([]byte, error) {
+	b = append(b, `{"env":`...)
+	b = jsonl.AppendString(b, r.Env)
+	b = append(b, `,"app":`...)
+	b = jsonl.AppendString(b, r.App)
+	b = append(b, `,"nodes":`...)
+	b = strconv.AppendInt(b, int64(r.Nodes), 10)
+	b = append(b, `,"iter":`...)
+	b = strconv.AppendInt(b, int64(r.Iter), 10)
+	b = append(b, `,"fom":`...)
+	b, err := jsonl.AppendFloat(b, r.FOM)
+	if err != nil {
+		return b, err
+	}
+	b = append(b, `,"unit":`...)
+	b = jsonl.AppendString(b, r.Unit)
+	if r.Error != "" {
+		b = append(b, `,"error":`...)
+		b = jsonl.AppendString(b, r.Error)
+	}
+	b = append(b, `,"wall_ns":`...)
+	b = strconv.AppendInt(b, int64(r.Wall), 10)
+	b = append(b, `,"hookup_ns":`...)
+	b = strconv.AppendInt(b, int64(r.Hookup), 10)
+	b = append(b, `,"cost_usd":`...)
+	if b, err = jsonl.AppendFloat(b, r.CostUSD); err != nil {
+		return b, err
+	}
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSONL decodes one JSON line into the record. It is strict:
+// an unknown key, a null or a value of the wrong kind is an error, and
+// the store treats such a line as a corrupt artifact.
+func (r *Record) UnmarshalJSONL(o *jsonl.Object) error {
+	for o.Next() {
+		switch string(o.Key()) {
+		case "env":
+			r.Env = o.Symbol()
+		case "app":
+			r.App = o.Symbol()
+		case "nodes":
+			r.Nodes = o.Int()
+		case "iter":
+			r.Iter = o.Int()
+		case "fom":
+			r.FOM = o.Float()
+		case "unit":
+			r.Unit = o.Symbol()
+		case "error":
+			r.Error = o.Symbol()
+		case "wall_ns":
+			r.Wall = time.Duration(o.Int64())
+		case "hookup_ns":
+			r.Hookup = time.Duration(o.Int64())
+		case "cost_usd":
+			r.CostUSD = o.Float()
+		default:
+			o.UnknownKey()
+		}
+	}
+	return o.Err()
 }
 
 // MarshalJSONL encodes records as JSON lines.

@@ -4,16 +4,24 @@
 // malformed lines reported with their 1-based number) instead of a
 // drifting copy per package.
 //
-// The codec is built for the store hot path, where the three wire forms
-// are encoded and decoded hundreds of times per study:
+// The codec is built for the store hot path, where the wire forms are
+// encoded and decoded hundreds of times per study:
 //
+//   - The two hot record types, dataset records and trace events, carry
+//     hand-written fixed-field codecs (AppendJSONL and UnmarshalJSONL
+//     methods built on this package's field primitives; see Object).
+//     They write exactly the bytes json.Encoder writes and decode a
+//     strict subset of what json.Unmarshal accepts, with no reflection.
+//     Every other type goes through encoding/json.
 //   - Marshal encodes through a pooled buffer (sync.Pool) and returns
 //     one right-sized copy, so repeated megabyte encodes stop paying
 //     the doubling-growth allocations.
 //   - Unmarshal slices the input in place (no bufio.Scanner, no copy of
-//     any line, no fixed 1 MiB scratch buffer) and preallocates the
-//     result from a newline count, so decoding allocates the output
-//     slice once plus whatever encoding/json needs per record.
+//     any line, no fixed 1 MiB scratch buffer), preallocates the result
+//     from a newline count and decodes each line straight into its
+//     slot, so decoding allocates the output slice once plus what each
+//     record's strings need (for the hand-written codecs, repeated
+//     small-set strings are interned per decode).
 //   - Decoder is the streaming form: records decode one at a time
 //     through a cursor, which is what lets the executor's units→env
 //     merge consume stored draws without materializing an intermediate
@@ -38,7 +46,9 @@ const maxPooledBuf = 16 << 20
 
 // Marshal encodes items as JSON lines, one per item, in order. The
 // returned slice is exactly sized and owned by the caller; the encode
-// scratch is pooled across calls.
+// scratch is pooled across calls. A type whose pointer has an
+// AppendJSONL method appends each line straight into the pooled buffer;
+// any other type goes through json.Encoder.
 func Marshal[T any](items []T) ([]byte, error) {
 	buf := encBufs.Get().(*bytes.Buffer)
 	defer func() {
@@ -48,10 +58,20 @@ func Marshal[T any](items []T) ([]byte, error) {
 		}
 	}()
 	buf.Reset()
-	enc := json.NewEncoder(buf)
-	for i := range items {
-		if err := enc.Encode(items[i]); err != nil {
-			return nil, err
+	if _, ok := any((*T)(nil)).(lineAppender); ok {
+		for i := range items {
+			b, err := any(&items[i]).(lineAppender).AppendJSONL(buf.AvailableBuffer())
+			if err != nil {
+				return nil, err
+			}
+			buf.Write(append(b, '\n'))
+		}
+	} else {
+		enc := json.NewEncoder(buf)
+		for i := range items {
+			if err := enc.Encode(items[i]); err != nil {
+				return nil, err
+			}
 		}
 	}
 	out := make([]byte, buf.Len())
@@ -64,7 +84,7 @@ func Marshal[T any](items []T) ([]byte, error) {
 // by errPrefix (the owning package's name). The input is split in place
 // — no per-line copies, no scratch buffer — and the output slice is
 // preallocated from a newline count, so a second growth allocation
-// never happens.
+// never happens. Each line decodes straight into its output slot.
 func Unmarshal[T any](errPrefix string, data []byte) ([]T, error) {
 	var out []T
 	if n := Lines(data); n > 0 {
@@ -72,14 +92,15 @@ func Unmarshal[T any](errPrefix string, data []byte) ([]T, error) {
 	}
 	d := NewDecoder[T](errPrefix, data)
 	for {
-		v, ok, err := d.Next()
-		if err != nil {
-			return nil, err
-		}
+		line, ok := d.nextLine()
 		if !ok {
 			return out, nil
 		}
-		out = append(out, v)
+		var zero T
+		out = append(out, zero)
+		if err := d.decode(&out[len(out)-1], line); err != nil {
+			return nil, err
+		}
 	}
 }
 
@@ -104,6 +125,8 @@ type Decoder[T any] struct {
 	prefix string
 	rest   []byte
 	line   int
+	obj    Object // the hand-written codecs' reader, kept across lines
+	slot   T      // Next decodes here, so no record escapes per line
 }
 
 // NewDecoder returns a cursor over data. The decoder keeps a reference
@@ -116,6 +139,20 @@ func NewDecoder[T any](errPrefix string, data []byte) *Decoder[T] {
 // Next decodes the next record. It returns ok=false when the input is
 // exhausted; a malformed line fails with its 1-based line number.
 func (d *Decoder[T]) Next() (v T, ok bool, err error) {
+	line, ok := d.nextLine()
+	if !ok {
+		return v, false, nil
+	}
+	d.slot = v
+	if err := d.decode(&d.slot, line); err != nil {
+		return v, false, err
+	}
+	return d.slot, true, nil
+}
+
+// nextLine returns the next non-blank line, counting every line it
+// passes.
+func (d *Decoder[T]) nextLine() ([]byte, bool) {
 	for len(d.rest) > 0 {
 		line := d.rest
 		if i := bytes.IndexByte(d.rest, '\n'); i >= 0 {
@@ -124,13 +161,25 @@ func (d *Decoder[T]) Next() (v T, ok bool, err error) {
 			d.rest = nil
 		}
 		d.line++
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
+		if len(bytes.TrimSpace(line)) != 0 {
+			return line, true
 		}
-		if err := json.Unmarshal(line, &v); err != nil {
-			return v, false, fmt.Errorf("%s: line %d: %w", d.prefix, d.line, err)
-		}
-		return v, true, nil
 	}
-	return v, false, nil
+	return nil, false
+}
+
+// decode decodes one line into *p: through the type's UnmarshalJSONL
+// when *T has one, else through json.Unmarshal.
+func (d *Decoder[T]) decode(p *T, line []byte) error {
+	var err error
+	if u, ok := any(p).(lineUnmarshaler); ok {
+		d.obj.reset(line)
+		err = u.UnmarshalJSONL(&d.obj)
+	} else {
+		err = json.Unmarshal(line, p)
+	}
+	if err != nil {
+		return fmt.Errorf("%s: line %d: %w", d.prefix, d.line, err)
+	}
+	return nil
 }

@@ -154,9 +154,11 @@ func TestMarshalAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// Steady state: one interface boxing per record (encoding/json's
-	// Encode signature) plus the right-sized output copy. The old codec
-	// re-grew the buffer every call on top of that.
+	// rec has no AppendJSONL, so this bounds the encoding/json path:
+	// one interface boxing per record (Encode's signature) plus the
+	// right-sized output copy. The old codec re-grew the buffer every
+	// call on top of that. The hand-written codecs' bounds live with
+	// their types (dataset and trace) and in TestFixedFieldCodecAllocs.
 	if allocs > float64(len(in))+16 {
 		t.Fatalf("Marshal allocates too much: %.0f allocs/run", allocs)
 	}
@@ -177,7 +179,8 @@ func TestUnmarshalAllocsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	// One output slice (newline-counted preallocation) plus
+	// rec has no UnmarshalJSONL, so this bounds the encoding/json path:
+	// one output slice (newline-counted preallocation) plus
 	// encoding/json's per-record decode cost (~6 allocs for this
 	// shape); the old scanner paid a fixed 1 MiB buffer and log2(n)
 	// growth copies on top.

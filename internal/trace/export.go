@@ -1,8 +1,8 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
+	"strconv"
 	"time"
 
 	"cloudhpc/internal/jsonl"
@@ -12,30 +12,72 @@ import (
 // artifacts and for external analysis.
 
 // eventJSON is the wire form: severity as a string, time in nanoseconds.
+// The line decode also keeps the parsed severity in level, which
+// encoding/json neither writes nor reads.
 type eventJSON struct {
-	AtNs     int64        `json:"at_ns"`
-	Env      string       `json:"env,omitempty"`
-	Category string       `json:"category"`
-	Severity severityName `json:"severity"`
-	Msg      string       `json:"msg"`
-	Cost     float64      `json:"cost_usd,omitempty"`
+	AtNs     int64   `json:"at_ns"`
+	Env      string  `json:"env,omitempty"`
+	Category string  `json:"category"`
+	Severity string  `json:"severity"`
+	Msg      string  `json:"msg"`
+	Cost     float64 `json:"cost_usd,omitempty"`
+
+	level Severity
 }
 
-// severityName validates during JSON decoding, so a bad severity fails
-// inside the shared JSONL scanner and the error carries the exact file
-// line — not a post-hoc record index.
-type severityName string
+// AppendJSONL appends the event's JSON line, without the newline: the
+// bytes json.Encoder writes for it, field for field.
+func (e *eventJSON) AppendJSONL(b []byte) ([]byte, error) {
+	b = append(b, `{"at_ns":`...)
+	b = strconv.AppendInt(b, e.AtNs, 10)
+	if e.Env != "" {
+		b = append(b, `,"env":`...)
+		b = jsonl.AppendString(b, e.Env)
+	}
+	b = append(b, `,"category":`...)
+	b = jsonl.AppendString(b, e.Category)
+	b = append(b, `,"severity":`...)
+	b = jsonl.AppendString(b, e.Severity)
+	b = append(b, `,"msg":`...)
+	b = jsonl.AppendString(b, e.Msg)
+	if e.Cost != 0 {
+		b = append(b, `,"cost_usd":`...)
+		var err error
+		if b, err = jsonl.AppendFloat(b, e.Cost); err != nil {
+			return b, err
+		}
+	}
+	return append(b, '}'), nil
+}
 
-func (s *severityName) UnmarshalJSON(b []byte) error {
-	var str string
-	if err := json.Unmarshal(b, &str); err != nil {
+// UnmarshalJSONL decodes one JSON line into the event, strictly (see
+// jsonl.Object). The severity must name a level, so a bad or missing
+// one fails on its own line.
+func (e *eventJSON) UnmarshalJSONL(o *jsonl.Object) error {
+	for o.Next() {
+		switch string(o.Key()) {
+		case "at_ns":
+			e.AtNs = o.Int64()
+		case "env":
+			e.Env = o.Symbol()
+		case "category":
+			e.Category = o.Symbol()
+		case "severity":
+			e.Severity = o.Symbol()
+		case "msg":
+			e.Msg = o.Text()
+		case "cost_usd":
+			e.Cost = o.Float()
+		default:
+			o.UnknownKey()
+		}
+	}
+	if err := o.Err(); err != nil {
 		return err
 	}
-	if _, err := severityFromString(str); err != nil {
-		return err
-	}
-	*s = severityName(str)
-	return nil
+	var err error
+	e.level, err = severityFromString(e.Severity)
+	return err
 }
 
 // MarshalJSONL encodes the log as JSON lines in insertion order.
@@ -45,7 +87,7 @@ func (l *Log) MarshalJSONL() ([]byte, error) {
 	for i, e := range events {
 		out[i] = eventJSON{
 			AtNs: int64(e.At), Env: e.Env, Category: string(e.Category),
-			Severity: severityName(e.Severity.String()), Msg: e.Msg, Cost: e.Cost,
+			Severity: e.Severity.String(), Msg: e.Msg, Cost: e.Cost,
 		}
 	}
 	return jsonl.Marshal(out)
@@ -60,27 +102,29 @@ func severityFromString(s string) (Severity, error) {
 		return Unexpected, nil
 	case "blocking":
 		return Blocking, nil
+	case "":
+		return 0, fmt.Errorf("missing severity")
 	default:
-		return 0, fmt.Errorf("trace: unknown severity %q", s)
+		return 0, fmt.Errorf("unknown severity %q", s)
 	}
 }
 
-// UnmarshalJSONL rebuilds a log from JSON lines.
+// UnmarshalJSONL rebuilds a log from JSON lines. The events are built
+// in one slice, sized from the line count, and become the log's own.
 func UnmarshalJSONL(data []byte) (*Log, error) {
-	decoded, err := jsonl.Unmarshal[eventJSON]("trace", data)
-	if err != nil {
-		return nil, err
-	}
-	l := NewLog()
-	for _, ej := range decoded {
-		sev, err := severityFromString(string(ej.Severity))
+	d := jsonl.NewDecoder[eventJSON]("trace", data)
+	events := make([]Event, 0, jsonl.Lines(data))
+	for {
+		ej, ok, err := d.Next()
 		if err != nil {
-			return nil, err // unreachable: severityName validated at decode
+			return nil, err
 		}
-		l.Add(Event{
+		if !ok {
+			return &Log{events: events}, nil
+		}
+		events = append(events, Event{
 			At: time.Duration(ej.AtNs), Env: ej.Env, Category: Category(ej.Category),
-			Severity: sev, Msg: ej.Msg, Cost: ej.Cost,
+			Severity: ej.level, Msg: ej.Msg, Cost: ej.Cost,
 		})
 	}
-	return l, nil
 }

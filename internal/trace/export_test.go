@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
@@ -38,6 +39,12 @@ func TestUnmarshalRejections(t *testing.T) {
 	}
 	if _, err := UnmarshalJSONL([]byte(`{"severity":"catastrophic","category":"setup"}` + "\n")); err == nil {
 		t.Fatalf("unknown severity accepted")
+	}
+	// A line with no severity fails inside the line decode, with its
+	// line number, like every other malformed line.
+	_, err := UnmarshalJSONL([]byte(`{"severity":"routine","msg":"a"}` + "\n" + `{"category":"setup","msg":"b"}` + "\n"))
+	if err == nil || !strings.HasPrefix(err.Error(), "trace: line 2: ") {
+		t.Fatalf("missing severity: want a line-2 error, got %v", err)
 	}
 	l, err := UnmarshalJSONL([]byte("\n\n"))
 	if err != nil || l.Len() != 0 {
