@@ -59,12 +59,12 @@ func computeStudy(b *testing.B, seed uint64, workers int) *core.Results {
 }
 
 // reportPeakRSS attaches the process's peak resident set (VmHWM from
-// /proc/self/status, Linux only) as a custom metric, giving
-// scripts/bench_baseline.sh a memory axis without needing an external
-// time(1) binary. The high-water mark is process-wide and monotone, so
-// within one `go test -bench` invocation the value reflects the peak up
-// to the end of this benchmark — run benchmarks in isolation (as the
-// baseline script's regexes do) when the absolute number matters.
+// /proc/self/status, Linux only) as a custom metric, giving the bench
+// output a memory axis without needing an external time(1) binary. The
+// high-water mark is process-wide and monotone, so within one `go test
+// -bench` invocation the value reflects the peak up to the end of this
+// benchmark — run a benchmark in isolation (one `-bench` regex that
+// matches only it) when the absolute number matters.
 func reportPeakRSS(b *testing.B) {
 	b.Helper()
 	data, err := os.ReadFile("/proc/self/status")
@@ -532,9 +532,8 @@ func BenchmarkAutoscalingTradeoff(b *testing.B) {
 // is flushed, the store is fresh, so the study computes end to end and
 // every artifact — study bundle plus 143 unit artifacts — is serialized
 // into a new on-disk store. Warm flushes only the memory tier: the
-// dataset decodes whole from the store, no simulation at all.
-// scripts/bench_baseline.sh turns the pair into the BENCH_store.json
-// cold-vs-warm data point; compare the ratio, not the absolutes.
+// dataset decodes whole from the store, no simulation at all. Compare
+// the ratio, not the absolutes.
 func BenchmarkStudyStoreCold(b *testing.B) {
 	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
@@ -585,8 +584,6 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 // atomic counters. Subscribed attaches one actively-draining subscriber
 // to the same workload, the upper bound anyone pays for watching a study
 // live.
-// scripts/bench_baseline.sh turns the pair plus the store-cold
-// reference into BENCH_runner.json.
 func BenchmarkRunnerStudyCold(b *testing.B) {
 	benchRunnerStudy(b, false)
 }
@@ -641,8 +638,7 @@ func benchRunnerStudy(b *testing.B, subscribe bool) {
 // unit's offload takes the zero-live-workers fast path and computes
 // locally. The acceptance bar is parity within noise (≤2%) of the
 // runner-cold number — an attached-but-empty fleet must cost one mutex
-// acquisition per unit, nothing more. scripts/bench_baseline.sh turns
-// the pair into BENCH_fleet.json.
+// acquisition per unit, nothing more.
 func BenchmarkFleetLocalFallback(b *testing.B) {
 	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {

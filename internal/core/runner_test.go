@@ -373,3 +373,23 @@ func TestRunnerConfigureBypassesCacheTiers(t *testing.T) {
 		t.Fatalf("plain rerun = (%p, %v), want memoized %p", again, err, base)
 	}
 }
+
+// TestFullStudyAllocs caps what computing the default study allocates
+// through a store-less Runner. The memory tier is flushed before every
+// run, so each one computes the study end to end.
+func TestFullStudyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	defer FlushCachedRuns()
+	const ceiling = 40000
+	got := testing.AllocsPerRun(3, func() {
+		FlushCachedRuns()
+		if _, err := (&Runner{}).Run(context.Background(), DefaultSpec(2025)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("the seed-2025 study allocates %.0f/op, want <= %d", got, ceiling)
+	}
+}

@@ -407,16 +407,13 @@ func (sh *shard) deployKubernetes(cluster *cloud.Cluster) (*sched.Scheduler, err
 	if spec.Acc == cloud.GPU {
 		kc.Apply(k8s.NVIDIADevicePlugin)
 	}
-	mc, err := kc.DeployFluxOperator()
+	scheduler, err := kc.DeployFluxOperator()
 	if errors.Is(err, k8s.ErrCNIPrefixExhausted) {
 		// The study's fix: patch the CNI daemonset for prefix delegation.
 		kc.Apply(k8s.CNIPrefixDelegation)
-		mc, err = kc.DeployFluxOperator()
+		scheduler, err = kc.DeployFluxOperator()
 	}
-	if err != nil {
-		return nil, err
-	}
-	return mc.Scheduler, nil
+	return scheduler, err
 }
 
 // runOnce submits one application run through the environment's scheduler

@@ -2,8 +2,8 @@ package flux
 
 import "testing"
 
-// Allocation-path performance: the operator allocates and releases
-// MiniClusters for every study scale; keep the graph matcher cheap.
+// Allocation-path performance of the graph matcher, at MiniCluster
+// shapes of the study's scales.
 
 func BenchmarkSubmitRelease32Nodes(b *testing.B) {
 	in := NewInstance("bench", NewCluster("nd40", 32, 2, 24, 4))

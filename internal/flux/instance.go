@@ -8,8 +8,8 @@ import (
 
 // Instance is one Flux instance: a scheduler over a resource graph.
 // Instances nest — Spawn carves a child instance out of an allocation,
-// which is how the Flux Operator turns a Kubernetes node pool into a
-// MiniCluster, and how batch jobs subdivide their own allocations.
+// the way the Flux Operator turns a Kubernetes node pool into a
+// MiniCluster and batch jobs subdivide their own allocations.
 type Instance struct {
 	Name   string
 	Root   *Resource
@@ -140,8 +140,8 @@ func (in *Instance) Spawn(name string, alloc *Allocation) (*Instance, error) {
 	// The child gets fresh vertices mirroring the granted nodes, so its
 	// allocations never race the parent's bookkeeping. Like NewCluster,
 	// the clone is carved from one Resource arena and one Children
-	// backing array (names are shared string headers), so spawning a
-	// MiniCluster costs O(1) allocations instead of one per vertex.
+	// backing array (names are shared string headers), so a spawn costs
+	// O(1) allocations instead of one per vertex.
 	total := 0
 	for _, n := range alloc.Nodes {
 		total += countVertices(n)

@@ -1,7 +1,10 @@
 // Package flux implements a Flux-Framework-style hierarchical resource
-// manager — the scheduler the study deployed in every Kubernetes
+// manager, after the scheduler the study deployed in every Kubernetes
 // environment (via the Flux Operator) and on the Compute Engine VM
-// clusters (paper §2.3).
+// clusters (paper §2.3). The study itself does not run this package:
+// its jobs queue on sched.NewFlux, and a MiniCluster deploy builds no
+// resource graph. Only the flux.* probes of the repository benchmark
+// (bench/) call it.
 //
 // Flux's defining ideas, reproduced here:
 //
@@ -44,16 +47,13 @@ type Resource struct {
 // gpus) per socket. It panics on non-positive nodes or sockets because a
 // resource graph without vertices is a caller bug.
 //
-// The graph is the unit of work behind every cluster deployment the study
-// performs (one per environment × scale), and a 256-node CPU cluster
-// holds ~30k leaf vertices — so construction sits on the executor's
-// critical path. The whole graph is therefore carved out of three bulk
-// allocations: one Resource arena for every vertex, one backing array
-// every Children slice is a sub-slice of, and one string all vertex
-// names alias (each name is a slice of the concatenation of all of
-// them). The per-vertex strings and slices fmt/append construction
-// would allocate — ~140k objects per full study — collapse to O(1)
-// allocations per cluster, byte-identical names included.
+// A 256-node CPU cluster holds ~30k leaf vertices, so the whole graph
+// is carved out of three bulk allocations: one Resource arena for every
+// vertex, one backing array every Children slice is a sub-slice of, and
+// one string all vertex names alias (each name is a slice of the
+// concatenation of all of them). The per-vertex strings and slices
+// fmt/append construction would allocate collapse to O(1) allocations
+// per cluster, byte-identical names included.
 func NewCluster(name string, nodes, socketsPerNode, coresPerSocket, gpusPerSocket int) *Resource {
 	if nodes <= 0 || socketsPerNode <= 0 {
 		panic(fmt.Sprintf("flux: invalid cluster shape %d nodes × %d sockets", nodes, socketsPerNode))

@@ -57,7 +57,6 @@ func ServiceFor(p cloud.Provider) (Service, error) {
 var (
 	ErrNetworkingNotReady = errors.New("k8s: high-performance networking not installed")
 	ErrCNIPrefixExhausted = errors.New("k8s: CNI ran out of network prefixes")
-	ErrDaemonSetFailed    = errors.New("k8s: daemonset rollout failed")
 )
 
 // DaemonSet is a per-node rollout. The study used daemonsets for the EFA
@@ -116,7 +115,7 @@ func NewCluster(s *sim.Simulation, log *trace.Log, env string, svc Service, node
 
 // Apply rolls out a daemonset across all nodes. Custom daemonsets log a
 // development-effort event (they had to be written first).
-func (c *Cluster) Apply(ds DaemonSet) error {
+func (c *Cluster) Apply(ds DaemonSet) {
 	c.sim.Clock.Advance(ds.InstallTime)
 	c.daemonsets[ds.Provides] = ds
 	sev := trace.Routine
@@ -126,7 +125,6 @@ func (c *Cluster) Apply(ds DaemonSet) error {
 		cat = trace.Development
 	}
 	c.log.Addf(c.sim.Now(), c.env, cat, sev, "daemonset %s rolled out (%s)", ds.Name, ds.Provides)
-	return nil
 }
 
 // Has reports whether a capability has been installed.
@@ -163,21 +161,15 @@ func (c *Cluster) checkCNI() error {
 	return nil
 }
 
-// MiniCluster is a Flux cluster deployed by the Flux Operator across the
-// Kubernetes nodes: the unified scheduling layer of all the study's
-// Kubernetes environments. Scheduler drives job execution in simulated
-// time; Resource exposes the underlying CRD with its rank-ordered broker
-// pods and nested Flux instance.
-type MiniCluster struct {
-	Scheduler *sched.Scheduler
-	Size      int
-	Resource  *MiniClusterResource
-}
-
-// DeployFluxOperator installs the Flux Operator and reconciles a
-// MiniCluster spanning every node. GPU clusters also need the NVIDIA
-// device plugin.
-func (c *Cluster) DeployFluxOperator() (*MiniCluster, error) {
+// DeployFluxOperator installs the Flux Operator, deploys a Flux
+// MiniCluster over every node — the scheduling layer of all the study's
+// Kubernetes environments — and returns its Flux queue. It models what
+// the study observed of a deploy: the prerequisites (high-performance
+// networking, CNI prefixes at 256 nodes on EKS, the NVIDIA device plugin
+// on GPU clusters), the 4-minute install and the manual shell-in.
+// Nothing here walks the nodes, so a deploy costs the same at any
+// cluster size.
+func (c *Cluster) DeployFluxOperator() (*sched.Scheduler, error) {
 	if err := c.networkingReady(); err != nil {
 		c.log.Addf(c.sim.Now(), c.env, trace.Development, trace.Unexpected, "flux operator blocked: %v", err)
 		return nil, err
@@ -190,28 +182,15 @@ func (c *Cluster) DeployFluxOperator() (*MiniCluster, error) {
 	}
 	c.sim.Clock.Advance(4 * time.Minute) // operator install + MiniCluster pods
 
-	// Reconcile the CRD: broker pod per node, nested Flux instance.
-	ps := NewPodScheduler(c.Nodes.Nodes)
-	op := NewOperator(ps, c.Nodes.Size(), 2,
-		(c.Nodes.Type.Cores+1)/2, (c.Nodes.Type.GPUs+1)/2)
-	mcr := &MiniClusterResource{Spec: MiniClusterSpec{
-		Name: c.env, Size: c.Nodes.Size(), Image: "flux-" + c.env,
-	}}
-	if err := op.Reconcile(mcr); err != nil {
-		c.log.Addf(c.sim.Now(), c.env, trace.Setup, trace.Unexpected, "MiniCluster reconcile: %v", err)
-		return nil, err
-	}
-
 	if !c.miniOnce {
 		// Each deployment requires shelling in to interact with the Flux
 		// queue — the recurring manual effort behind the "medium" manual-
 		// intervention scores of all Kubernetes environments.
 		c.log.Addf(c.sim.Now(), c.env, trace.Manual, trace.Unexpected,
-			"deployed MiniCluster (%d brokers); shelled in to interact with the Flux queue", mcr.Status.ReadyBrokers)
+			"deployed MiniCluster (%d brokers); shelled in to interact with the Flux queue", c.Nodes.Size())
 		c.miniOnce = true
 	} else {
 		c.log.Addf(c.sim.Now(), c.env, trace.Manual, trace.Routine, "redeployed MiniCluster")
 	}
-	flux := sched.NewFlux(c.sim, c.log, c.env, c.Nodes.Size())
-	return &MiniCluster{Scheduler: flux, Size: c.Nodes.Size(), Resource: mcr}, nil
+	return sched.NewFlux(c.sim, c.log, c.env, c.Nodes.Size()), nil
 }

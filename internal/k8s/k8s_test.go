@@ -110,23 +110,23 @@ func TestGPUClusterNeedsDevicePlugin(t *testing.T) {
 		t.Fatalf("GPU cluster without device plugin must fail: %v", err)
 	}
 	c.Apply(NVIDIADevicePlugin)
-	mc, err := c.DeployFluxOperator()
+	sc, err := c.DeployFluxOperator()
 	if err != nil {
 		t.Fatalf("after device plugin: %v", err)
 	}
-	if mc.Size != 32 {
-		t.Fatalf("MiniCluster size = %d, want 32", mc.Size)
+	if sc.FreeNodes() != 32 {
+		t.Fatalf("MiniCluster size = %d, want 32", sc.FreeNodes())
 	}
 }
 
 func TestMiniClusterSchedulerIsFlux(t *testing.T) {
 	_, _, c := newK8s(t, cloud.Google, 16, 0)
-	mc, err := c.DeployFluxOperator()
+	sc, err := c.DeployFluxOperator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mc.Scheduler.Kind() != "Flux" {
-		t.Fatalf("MiniCluster scheduler = %s, want Flux", mc.Scheduler.Kind())
+	if sc.Kind() != "Flux" {
+		t.Fatalf("MiniCluster scheduler = %s, want Flux", sc.Kind())
 	}
 }
 
@@ -138,5 +138,32 @@ func TestManualShellInLogged(t *testing.T) {
 	manual := log.Filter(func(e trace.Event) bool { return e.Category == trace.Manual })
 	if len(manual) == 0 {
 		t.Fatalf("MiniCluster deployment requires shelling in (manual effort)")
+	}
+}
+
+// TestDeployFluxOperatorAllocs pins that a deploy costs the same at
+// every cluster size: nothing on the deploy path walks the nodes.
+func TestDeployFluxOperatorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	const ceiling = 8
+	redeploy := func(nodes int) float64 {
+		_, _, c := newK8s(t, cloud.Google, nodes, 0)
+		if _, err := c.DeployFluxOperator(); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := c.DeployFluxOperator(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := redeploy(2), redeploy(256)
+	if small != large {
+		t.Errorf("a redeploy allocates %.0f at 2 nodes but %.0f at 256", small, large)
+	}
+	if large > ceiling {
+		t.Errorf("a redeploy allocates %.0f, want <= %d", large, ceiling)
 	}
 }
