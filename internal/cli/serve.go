@@ -3,7 +3,6 @@ package cli
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -195,10 +194,4 @@ func ServeWorker(url string, info rpc.Implementation, logf func(format string, a
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	return rpc.RunWorker(ctx, &rpc.Client{URL: url}, info, logf)
-}
-
-// IsInterruptOrClosed extends IsInterrupt for client streams cut by a
-// daemon teardown mid-subscribe.
-func IsInterruptOrClosed(err error) bool {
-	return IsInterrupt(err) || errors.Is(err, io.ErrUnexpectedEOF)
 }

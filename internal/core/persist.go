@@ -171,14 +171,6 @@ func (rs *ResultStore) Stats() StoreStats {
 	}
 }
 
-// GC sweeps blobs unreachable from the store's artifacts (superseded
-// bundles whose tags moved on, damaged leftovers) and reports how many
-// were removed. The sweep is mutually exclusive with in-flight pushes
-// (oras.Registry.GC holds the registry's write lock).
-func (rs *ResultStore) GC() (int, error) {
-	return rs.reg.GC()
-}
-
 func (rs *ResultStore) logf(format string, args ...any) {
 	if rs.Logf != nil {
 		rs.Logf(format, args...)

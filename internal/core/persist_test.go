@@ -50,9 +50,10 @@ func dropCacheEntry(t *testing.T, spec *StudySpec) string {
 //     pinned against the committed golden file;
 //  2. a warm whole-study load (decode, no compute);
 //  3. an incremental rerun that finds the units stored but not the study
-//     bundle (the study tag is deleted), so every unit decodes from the
-//     store while the lifecycle replays — the compute probe must read
-//     zero.
+//     bundle, so every unit decodes from the store while the lifecycle
+//     replays — the compute probe must read zero. It runs between path 1
+//     and the SaveStudy that path 2 loads, the one window in which the
+//     units are stored and the bundle is not.
 func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 	t.Parallel()
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_seed2025.txt"))
@@ -95,25 +96,10 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 				if got := goldenSnapshot(resCold); got != base {
 					t.Fatalf("w=%d: cold store-attached dataset diverged from baseline", w)
 				}
-				if err := rs.SaveStudy(r, resCold); err != nil {
-					t.Fatal(err)
-				}
 
-				// Path 2: whole-study warm load.
-				resWarm, ok := rs.LoadStudy(r)
-				if !ok {
-					t.Fatalf("w=%d: saved study missed", w)
-				}
-				if got := goldenSnapshot(resWarm); got != base {
-					t.Fatalf("w=%d: warm-from-store dataset not byte-identical", w)
-				}
-
-				// Path 3: incremental — units present, bundle gone.
-				if err := rs.reg.Backend().DeleteRef("oras/tag/study/" + r.Hash()); err != nil {
-					t.Fatal(err)
-				}
+				// Path 3: incremental — units present, bundle not yet saved.
 				if _, ok := rs.LoadStudy(r); ok {
-					t.Fatal("study tag deletion did not take")
+					t.Fatal("study bundle stored before SaveStudy")
 				}
 				stInc, _ := newTestStudy(t, spec, rs)
 				resInc, err := stInc.runSession(context.Background(), nil)
@@ -128,6 +114,18 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 				}
 				if stCold.unitComputes.Load() == 0 {
 					t.Fatalf("w=%d: cold run computed no units — probe is broken", w)
+				}
+
+				// Path 2: whole-study warm load.
+				if err := rs.SaveStudy(r, resCold); err != nil {
+					t.Fatal(err)
+				}
+				resWarm, ok := rs.LoadStudy(r)
+				if !ok {
+					t.Fatalf("w=%d: saved study missed", w)
+				}
+				if got := goldenSnapshot(resWarm); got != base {
+					t.Fatalf("w=%d: warm-from-store dataset not byte-identical", w)
 				}
 			}
 		})
@@ -438,46 +436,6 @@ func TestStudyBundleMissingFileFallsBack(t *testing.T) {
 	}
 	if rs.Stats().CorruptFallbacks == 0 {
 		t.Fatal("stripped bundle not accounted as corrupt")
-	}
-}
-
-// TestResultStoreGCReclaimsSupersededBundles: after a bundle is
-// re-pushed under the same tag (the recompute-overwrite path), GC
-// reclaims the superseded blobs while every live study and unit
-// artifact keeps loading.
-func TestResultStoreGCReclaimsSupersededBundles(t *testing.T) {
-	t.Parallel()
-	rs, _ := quietStore(t)
-	spec := &StudySpec{Seed: 771007, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream", "osu"}}
-	st, r := newTestStudy(t, spec, rs)
-	res, err := st.runSession(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rs.SaveStudy(r, res); err != nil {
-		t.Fatal(err)
-	}
-	if removed, err := rs.GC(); err != nil || removed != 0 {
-		t.Fatalf("fresh store gc: removed %d, err %v", removed, err)
-	}
-	// Supersede the bundle: same tag, different (stripped-meta) content.
-	files, err := rs.Registry().Pull("study/" + r.Hash())
-	if err != nil {
-		t.Fatal(err)
-	}
-	files["meter.jsonl"] = append(files["meter.jsonl"], '\n')
-	if _, err := rs.Registry().Push("study/"+r.Hash(), dataset.StudyBundleType, files, nil); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := rs.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed == 0 {
-		t.Fatal("superseded bundle blobs were not reclaimed")
-	}
-	if _, ok := rs.LoadStudy(r); !ok {
-		t.Fatal("gc broke the live study bundle")
 	}
 }
 

@@ -88,28 +88,19 @@ const (
 
 // Registry is a content-addressed OCI registry over a pluggable blob
 // store. Safe for concurrent use within one process: the backends
-// serialize their own state, concurrent pushes are idempotent, and the
-// registry's own lock makes GC mutually exclusive with reads and with
-// the one-shot Push verb (a sweep between a layer's Put and its
-// manifest's existence check could otherwise collect blobs nothing
-// references *yet*). Hand-composing PushBlob → PushManifest → Tag holds
-// the lock only per call, so do not run a composed push concurrently
-// with GC. Sharing one backend directory between processes is safe for
-// pushes but not for GC.
+// serialize their own state, and concurrent pushes are idempotent. The
+// registry only ever adds: no blob, manifest or marker ref is deleted,
+// so a layer stored by one call is still there for the manifest check
+// of the next, and a hand-composed PushBlob → PushManifest → Tag is as
+// safe as the one-shot Push verb. Sharing one backend directory between
+// processes is safe for pushes.
 type Registry struct {
-	// mu is held shared by every push/read operation and exclusively by
-	// GC: pushes may interleave freely with each other, never with a
-	// sweep.
+	// mu makes TagIfAbsent's check-and-set atomic: TagIfAbsent holds it
+	// exclusively and every other operation holds it shared, so no push,
+	// tag or ref batch lands between TagIfAbsent's absence check and its
+	// ref write. Shared holders interleave freely with each other.
 	mu    sync.RWMutex
 	blobs store.BlobStore
-
-	// pins are digests GC must treat as live even though no tag reaches
-	// them yet: blobs landed by a store-sync ingest whose refs have not
-	// arrived. An in-flight Push is protected by mu; a sync spans many
-	// RPC round trips and cannot hold a lock that long, so it pins
-	// instead (see Pin).
-	pinMu sync.Mutex
-	pins  map[string]int
 }
 
 // NewRegistry returns an empty registry over an in-memory store.
@@ -123,9 +114,6 @@ func NewRegistry() *Registry {
 func NewRegistryWith(bs store.BlobStore) *Registry {
 	return &Registry{blobs: bs}
 }
-
-// Backend returns the registry's blob store.
-func (r *Registry) Backend() store.BlobStore { return r.blobs }
 
 // PushBlob stores content and returns its descriptor. Identical content
 // deduplicates to the same digest.
@@ -266,70 +254,28 @@ func (r *Registry) ManifestCount() int {
 	return n
 }
 
-// LiveDigests returns the digests reachable from the registry's tags:
-// every tagged manifest blob plus every layer those manifests reference.
-// Tags are the roots — a manifest no tag points at anymore (a bundle
-// whose tag moved to a newer push) is garbage, which is exactly what GC
-// exists to reclaim. Anything else in the backend also counts as
-// garbage here; a caller sharing the store with other users must union
-// in their live sets.
-func (r *Registry) LiveDigests() (map[string]bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.liveDigestsLocked()
-}
-
-func (r *Registry) liveDigestsLocked() (map[string]bool, error) {
-	live := map[string]bool{}
-	for _, ref := range r.blobs.Refs() {
-		if !strings.HasPrefix(ref, tagRefPrefix) {
-			continue
-		}
-		dig, ok := r.blobs.Ref(ref)
-		if !ok {
-			continue
-		}
-		live[dig] = true
-		m, err := r.manifestAt(Digest(dig))
-		if err != nil {
-			continue // corrupt manifest: keep the blob, skip its layers
-		}
-		for _, l := range m.Layers {
-			live[string(l.Digest)] = true
-		}
-	}
-	return live, nil
-}
-
 // SyncInventory snapshots the backend's sync manifest (see
-// store.TakeInventory) under the registry's shared lock, so a
-// concurrent GC cannot tear the snapshot between the blob scan and the
-// ref filter.
+// store.TakeInventory) under the registry's shared lock.
 func (r *Registry) SyncInventory() store.Inventory {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return store.TakeInventory(r.blobs)
 }
 
-// IngestBlob stores sync-delivered bytes and pins the resulting digest
-// until release runs. Put and Pin happen under the registry's shared
-// lock, so a GC sweep can never land between them — the ingested blob
-// is continuously protected from the moment it exists until its refs
-// arrive (or the ingest is abandoned and release runs anyway).
-func (r *Registry) IngestBlob(data []byte) (digest string, release func(), err error) {
+// IngestBlob stores sync-delivered bytes and returns their digest. The
+// blob carries no ref until the peer's ref batch lands; nothing deletes
+// it meanwhile, so it simply waits for that batch (and stays
+// unreferenced if the batch never comes).
+func (r *Registry) IngestBlob(data []byte) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	d, err := r.blobs.Put(data)
-	if err != nil {
-		return "", nil, err
-	}
-	return d, r.Pin(d), nil
+	return r.blobs.Put(data)
 }
 
 // ReconcileRefs applies a sync ref batch last-writer-wins, skipping any
 // name whose target blob the backend does not hold — a ref must never
-// outrun its content. It runs under the registry's shared lock, so the
-// presence check and the application cannot interleave with a GC sweep.
+// outrun its content. A batch can name a blob whose transfer failed, or
+// one the backend evicted as vanished or corrupt.
 func (r *Registry) ReconcileRefs(refs map[string]string) (applied, skipped int, err error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -348,77 +294,6 @@ func (r *Registry) ReconcileRefs(refs map[string]string) (applied, skipped int, 
 		return 0, skipped, err
 	}
 	return len(apply), skipped, nil
-}
-
-// Pin marks digests as live for GC until the returned release runs —
-// how a store-sync ingest keeps just-transferred blobs alive across the
-// window between their Put and the ref batch that anchors them, the
-// same protection an in-flight Push gets from the registry lock.
-// Pins nest (the same digest pinned twice needs two releases); release
-// is idempotent.
-func (r *Registry) Pin(digests ...string) (release func()) {
-	r.pinMu.Lock()
-	if r.pins == nil {
-		r.pins = make(map[string]int)
-	}
-	for _, d := range digests {
-		r.pins[d]++
-	}
-	r.pinMu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			r.pinMu.Lock()
-			for _, d := range digests {
-				if r.pins[d]--; r.pins[d] <= 0 {
-					delete(r.pins, d)
-				}
-			}
-			r.pinMu.Unlock()
-		})
-	}
-}
-
-// pinned snapshots the currently pinned digests.
-func (r *Registry) pinned() map[string]bool {
-	r.pinMu.Lock()
-	defer r.pinMu.Unlock()
-	out := make(map[string]bool, len(r.pins))
-	for d := range r.pins {
-		out[d] = true
-	}
-	return out
-}
-
-// GC reclaims everything no tag reaches: it drops the manifest markers
-// of untagged manifests (so the refs stop pinning their blobs) and then
-// sweeps the unreachable blobs. The exclusive lock makes the sweep
-// mutually exclusive with in-flight pushes and reads — a push's layers
-// cannot be collected between their Put and the manifest's existence
-// check, and a Pull cannot fetch a manifest mid-sweep. Pinned digests
-// (in-flight sync ingests, whose refs have not landed yet) survive the
-// sweep exactly like tagged content. Returns how many blobs were
-// removed.
-func (r *Registry) GC() (int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	live, err := r.liveDigestsLocked()
-	if err != nil {
-		return 0, err
-	}
-	for d := range r.pinned() {
-		live[d] = true
-	}
-	var stale []string
-	for _, ref := range r.blobs.Refs() {
-		if dig, ok := strings.CutPrefix(ref, manifestRefPrefix); ok && !live[dig] {
-			stale = append(stale, ref)
-		}
-	}
-	if err := r.blobs.DeleteRefs(stale); err != nil {
-		return 0, err
-	}
-	return r.blobs.GC(live)
 }
 
 // Push is the ORAS convenience verb: store files as layers under one

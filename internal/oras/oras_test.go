@@ -229,151 +229,10 @@ func TestFetchCorruptBlobReportsMismatch(t *testing.T) {
 	}
 }
 
-// TestLiveDigestsCoverManifestClosure: GC against the registry's live set
-// sweeps an untagged orphan blob but keeps every manifest and layer.
-func TestLiveDigestsCoverManifestClosure(t *testing.T) {
-	t.Parallel()
-	bs := store.NewMemory()
-	r := NewRegistryWith(bs)
-	if _, err := r.Push("keep", "t", map[string][]byte{"a": []byte("layer-a")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	orphan, _ := bs.Put([]byte("orphan"))
-	live, err := r.LiveDigests()
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err := bs.GC(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 1 || bs.Has(orphan) {
-		t.Fatalf("gc removed %d, orphan present=%v", removed, bs.Has(orphan))
-	}
-	if _, err := r.Pull("keep"); err != nil {
-		t.Fatalf("gc broke a tagged artifact: %v", err)
-	}
-}
-
-// TestGCExcludesInFlightPushes races GC sweeps against artifact pushes:
-// the registry's lock must prevent a sweep from collecting layer blobs
-// between their Put and their manifest's existence check, so every
-// pushed artifact pulls back intact.
-func TestGCExcludesInFlightPushes(t *testing.T) {
-	t.Parallel()
-	r := NewRegistry()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			if _, err := r.GC(); err != nil {
-				t.Errorf("gc: %v", err)
-				return
-			}
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		tag := fmt.Sprintf("results/run-%d", i)
-		if _, err := r.Push(tag, "t", map[string][]byte{"out": []byte(fmt.Sprintf("payload %d", i))}, nil); err != nil {
-			t.Fatalf("push %s: %v", tag, err)
-		}
-		if _, err := r.Pull(tag); err != nil {
-			t.Fatalf("pull %s after concurrent gc: %v", tag, err)
-		}
-	}
-	<-done
-}
-
-// TestGCReclaimsSupersededArtifacts: when a tag moves to a new manifest,
-// the old manifest and its unshared layers become unreachable and GC
-// must actually reclaim them (tags are the liveness roots — manifest
-// markers alone must not pin garbage forever).
-func TestGCReclaimsSupersededArtifacts(t *testing.T) {
-	t.Parallel()
-	bs := store.NewMemory()
-	r := NewRegistryWith(bs)
-	if _, err := r.Push("results/x", "t", map[string][]byte{"a": []byte("version one")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	before := bs.Len()
-	if _, err := r.Push("results/x", "t", map[string][]byte{"a": []byte("version two")}, nil); err != nil {
-		t.Fatal(err)
-	}
-	removed, err := r.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The superseded manifest and its layer must both go.
-	if removed != 2 {
-		t.Fatalf("gc removed %d blobs, want 2 (old layer + old manifest)", removed)
-	}
-	if bs.Len() != before {
-		t.Fatalf("store holds %d blobs after gc, want %d", bs.Len(), before)
-	}
-	if r.ManifestCount() != 1 {
-		t.Fatalf("manifest count = %d, want 1", r.ManifestCount())
-	}
-	got, err := r.Pull("results/x")
-	if err != nil || string(got["a"]) != "version two" {
-		t.Fatalf("live artifact damaged by gc: %v %q", err, got)
-	}
-	// Idempotent: nothing left to sweep.
-	if removed, _ := r.GC(); removed != 0 {
-		t.Fatalf("second gc removed %d", removed)
-	}
-}
-
-// TestGCExcludesPinnedSyncIngests: a blob delivered by a store sync has
-// no ref until the peer's ref batch lands, so only its pin keeps GC
-// away. Pinned it must survive a sweep; released it is garbage again.
-func TestGCExcludesPinnedSyncIngests(t *testing.T) {
-	t.Parallel()
-	bs := store.NewMemory()
-	r := NewRegistryWith(bs)
-	d, release, err := r.IngestBlob([]byte("mid-sync payload"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed, err := r.GC(); err != nil || removed != 0 {
-		t.Fatalf("gc swept a pinned sync ingest: removed=%d err=%v", removed, err)
-	}
-	if !bs.Has(d) {
-		t.Fatal("pinned blob gone after gc")
-	}
-	release()
-	release() // idempotent
-	if removed, err := r.GC(); err != nil || removed != 1 {
-		t.Fatalf("gc after release: removed=%d err=%v, want 1", removed, err)
-	}
-	if bs.Has(d) {
-		t.Fatal("released unanchored blob survived gc")
-	}
-}
-
-// TestPinNesting: the same digest pinned twice needs two releases
-// before GC may take it.
-func TestPinNesting(t *testing.T) {
-	t.Parallel()
-	bs := store.NewMemory()
-	r := NewRegistryWith(bs)
-	d, rel1, err := r.IngestBlob([]byte("doubly wanted"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel2 := r.Pin(d)
-	rel1()
-	if removed, _ := r.GC(); removed != 0 {
-		t.Fatalf("gc ignored the remaining pin: removed=%d", removed)
-	}
-	rel2()
-	if removed, _ := r.GC(); removed != 1 {
-		t.Fatalf("gc after final release: removed=%d, want 1", removed)
-	}
-}
-
 // TestReconcileRefsSkipsMissingTargets: a sync ref batch may reference
-// blobs the backend lost (or that GC swept between POSTs over HTTP) —
-// those names must be skipped, never applied dangling.
+// blobs the backend does not hold (a transfer that failed, or a blob
+// evicted as vanished or corrupt) — those names must be skipped, never
+// applied dangling.
 func TestReconcileRefsSkipsMissingTargets(t *testing.T) {
 	t.Parallel()
 	bs := store.NewMemory()
@@ -398,5 +257,163 @@ func TestReconcileRefsSkipsMissingTargets(t *testing.T) {
 	}
 	if _, ok := bs.Ref("oras/tag/study/there"); ok {
 		t.Fatal("dangling ref applied")
+	}
+}
+
+// ingestManifest lands a one-layer manifest the way a fleet worker's
+// upload does: layer and manifest arrive as plain sync ingests, with no
+// manifest marker and no tag. It returns the manifest's digest.
+func ingestManifest(t *testing.T, r *Registry, payload string) Digest {
+	t.Helper()
+	layer, err := r.IngestBlob([]byte(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := Manifest{ArtifactType: "t", Layers: []Descriptor{{
+		MediaType: "application/octet-stream", Digest: Digest(layer), Size: int64(len(payload)),
+	}}}
+	data, err := m.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := r.IngestBlob(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Digest(d)
+}
+
+// TestTagIfAbsentFirstWriteWins: an unbound tag binds and gains its
+// manifest marker; a later call with another valid manifest reports
+// false and leaves the tag where the first call put it.
+func TestTagIfAbsentFirstWriteWins(t *testing.T) {
+	t.Parallel()
+	r := NewRegistry()
+	first := ingestManifest(t, r, "first result")
+	second := ingestManifest(t, r, "second result")
+	if n := r.ManifestCount(); n != 0 {
+		t.Fatalf("plain ingests carry %d manifest markers, want 0", n)
+	}
+	ok, err := r.TagIfAbsent("unit/x", first)
+	if err != nil || !ok {
+		t.Fatalf("unbound tag: ok=%v err=%v, want true", ok, err)
+	}
+	for _, d := range []Digest{second, first} {
+		ok, err := r.TagIfAbsent("unit/x", d)
+		if err != nil || ok {
+			t.Fatalf("bound tag, manifest %s: ok=%v err=%v, want false", d, ok, err)
+		}
+	}
+	if _, got, err := r.Resolve("unit/x"); err != nil || got != first {
+		t.Fatalf("tag resolves to %s (%v), want the first manifest %s", got, err, first)
+	}
+	files, err := r.Pull("unit/x")
+	if err != nil || string(files["layer-0"]) != "first result" {
+		t.Fatalf("pull: %q %v", files, err)
+	}
+	if n := r.ManifestCount(); n != 1 {
+		t.Fatalf("manifest markers = %d, want 1 (the winner's)", n)
+	}
+}
+
+// TestTagIfAbsentRefusesInvalidTargets: a digest that is not a stored
+// manifest, or a manifest whose layer is missing, is refused and binds
+// nothing — not the tag and not a manifest marker.
+func TestTagIfAbsentRefusesInvalidTargets(t *testing.T) {
+	t.Parallel()
+	r := NewRegistry()
+	plain, err := r.IngestBlob([]byte("not a manifest"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dangling, err := Manifest{ArtifactType: "t", Layers: []Descriptor{{
+		MediaType: "application/octet-stream", Digest: DigestOf([]byte("never stored")), Size: 12,
+	}}}.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	danglingDigest, err := r.IngestBlob(dangling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		d    Digest
+		want error
+	}{
+		{"plain blob", Digest(plain), nil},
+		{"absent digest", DigestOf([]byte("absent")), ErrManifestUnknown},
+		{"missing layer", Digest(danglingDigest), ErrBlobUnknown},
+	} {
+		ok, err := r.TagIfAbsent("unit/x", tc.d)
+		if ok || err == nil {
+			t.Fatalf("%s: ok=%v err=%v, want a refusal", tc.name, ok, err)
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Fatalf("%s: err=%v, want %v", tc.name, err, tc.want)
+		}
+		if tags := r.Tags(); len(tags) != 0 {
+			t.Fatalf("%s: refused target left tags %v", tc.name, tags)
+		}
+		if n := r.ManifestCount(); n != 0 {
+			t.Fatalf("%s: refused target left %d manifest markers", tc.name, n)
+		}
+	}
+}
+
+// TestTagIfAbsentRace: N goroutines race to bind each of several tags,
+// each goroutine with its own valid manifest. For every tag exactly one
+// call wins, and the tag resolves to the winner's digest — the
+// check-and-set is atomic under the registry's exclusive lock.
+func TestTagIfAbsentRace(t *testing.T) {
+	t.Parallel()
+	const n, tags = 16, 64
+	r := NewRegistry()
+	digests := make([]Digest, n)
+	for i := range digests {
+		digests[i] = ingestManifest(t, r, fmt.Sprintf("result from worker %d", i))
+	}
+	won := make([][tags]bool, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range digests {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for k := 0; k < tags; k++ {
+				ok, err := r.TagIfAbsent(fmt.Sprintf("unit/%d", k), digests[i])
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				won[i][k] = ok
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	for k := 0; k < tags; k++ {
+		winner := -1
+		for i := range won {
+			if won[i][k] {
+				if winner >= 0 {
+					t.Fatalf("tag %d: callers %d and %d both bound it", k, winner, i)
+				}
+				winner = i
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("tag %d: no caller bound it", k)
+		}
+		if _, got, err := r.Resolve(fmt.Sprintf("unit/%d", k)); err != nil || got != digests[winner] {
+			t.Fatalf("tag %d resolves to %s (%v), want the winner's %s", k, got, err, digests[winner])
+		}
 	}
 }

@@ -49,11 +49,9 @@ type conn struct {
 	wg   sync.WaitGroup
 
 	// Store-sync staging (guarded by mu): the one in-flight chunked
-	// upload and the GC-pin releases for blobs ingested on this
-	// connection (lifted when a ref batch lands, or at connection end).
+	// upload, dropped when a ref batch lands or the connection ends.
 	upDigest string
 	upBuf    []byte
-	pinned   []func()
 }
 
 func (s *Server) newConn(w io.Writer, initialized bool) *conn {
@@ -161,9 +159,8 @@ func (c *conn) serve(ctx context.Context, r io.Reader) error {
 	// already drained; on streamable HTTP this is what holds the response
 	// open until the subscribed sessions end.
 	c.wg.Wait()
-	// The conversation is over: any sync blobs still pinned (pushed but
-	// never anchored by a store.refs) go back under normal GC rules.
-	c.releasePins()
+	// The conversation is over: an upload still staged can never finish.
+	c.resetUpload()
 	if closing {
 		return nil
 	}
@@ -183,7 +180,7 @@ func (c *conn) teardown() {
 	for _, sub := range subs {
 		sub.Close()
 	}
-	c.releasePins()
+	c.resetUpload()
 }
 
 // handleLine decodes and dispatches one request line. It reports whether

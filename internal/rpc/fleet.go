@@ -14,8 +14,8 @@ package rpc
 // Artifacts travel over the existing store.* sync verbs: PushUnit packs
 // the unit files into an in-memory registry (the same layout saveUnit
 // writes), uploads every blob as store.put chunk lines, and lands the
-// fleet.complete on the same POST, so the server's per-connection GC
-// pins hold the blobs until the coordinator's verification tags them.
+// fleet.complete on the same POST: the server stages chunked uploads
+// per connection, and one round trip carries the whole unit.
 
 import (
 	"bytes"
@@ -201,11 +201,10 @@ func (c *Client) FleetNack(ctx context.Context, worker, lease, reason string) (F
 // PushUnit delivers one computed unit: it packs files into the store's
 // artifact layout (the same oras push saveUnit performs locally),
 // uploads every blob as store.put chunks, and reports the manifest with
-// fleet.complete — all in one POST, so the server's per-connection GC
-// pins protect the blobs until the coordinator's verification tags the
-// artifact. The server re-verifies everything on arrival: every chunk
-// assembly against its digest, and the decoded records against the
-// unit's exact draw schedule.
+// fleet.complete — all in one POST, because the server stages chunked
+// uploads per connection. The server re-verifies everything on arrival:
+// every chunk assembly against its digest, and the decoded records
+// against the unit's exact draw schedule.
 func (c *Client) PushUnit(ctx context.Context, worker, lease string, work core.UnitWork, files map[string][]byte) (FleetCompleteResult, error) {
 	var res FleetCompleteResult
 	pack := oras.NewRegistry()

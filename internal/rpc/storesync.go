@@ -11,9 +11,9 @@ package rpc
 // chunks of at most syncChunkBytes raw bytes so every line stays under
 // maxLineBytes. Uploads are staged per connection (chunks of one digest
 // arrive in order) and verified against their digest before anything
-// is stored; stored-but-unref'd blobs are pinned against GC until the
-// connection's ref batch lands (oras.Registry.Pin — the sync analogue
-// of the registry lock an in-flight push holds).
+// is stored. The store never deletes, so a stored blob simply waits for
+// the ref batch that names it, and store.refs skips any ref whose blob
+// is absent.
 
 import (
 	"bytes"
@@ -96,7 +96,8 @@ func (c *conn) storeFetch(raw json.RawMessage) (any, *Error) {
 }
 
 // resetUpload abandons the connection's staged upload (bad chunk,
-// digest mismatch): the next store.put starts fresh at offset 0.
+// digest mismatch, a ref batch landing, connection end): the next
+// store.put starts fresh at offset 0.
 func (c *conn) resetUpload() {
 	c.mu.Lock()
 	c.upDigest, c.upBuf = "", nil
@@ -161,13 +162,10 @@ func (c *conn) storePut(raw json.RawMessage) (any, *Error) {
 	if got := store.DigestOf(assembled); got != p.Digest {
 		return nil, errf(CodeInvalidParams, "assembled content hashes to %s, not %s", got, p.Digest)
 	}
-	dig, release, err := reg.IngestBlob(assembled)
+	dig, err := reg.IngestBlob(assembled)
 	if err != nil {
 		return nil, errf(CodeInternal, "storing %s: %v", p.Digest, err)
 	}
-	c.mu.Lock()
-	c.pinned = append(c.pinned, release)
-	c.mu.Unlock()
 	return StorePutResult{Digest: dig, Stored: true}, nil
 }
 
@@ -189,23 +187,9 @@ func (c *conn) storeRefs(raw json.RawMessage) (any, *Error) {
 	if err != nil {
 		return nil, errf(CodeInternal, "reconciling refs: %v", err)
 	}
-	// The refs are down: blobs this connection ingested are either
-	// anchored now or legitimately unreferenced, so the GC pins lift.
-	c.releasePins()
+	// The ref batch closes the push: an upload still staged is abandoned.
+	c.resetUpload()
 	return StoreRefsResult{Applied: applied, Skipped: skipped}, nil
-}
-
-// releasePins lifts the connection's GC pins and drops any staged
-// upload — called when a ref batch lands and when the connection ends.
-func (c *conn) releasePins() {
-	c.mu.Lock()
-	pins := c.pinned
-	c.pinned = nil
-	c.upDigest, c.upBuf = "", nil
-	c.mu.Unlock()
-	for _, release := range pins {
-		release()
-	}
 }
 
 // StorePeer speaks the store.* family to a daemon: the wire
@@ -255,8 +239,7 @@ func (p StorePeer) Fetch(ctx context.Context, digest string) ([]byte, error) {
 }
 
 // Put implements store.Peer: all chunks of the blob travel in one POST
-// so the server's per-connection staging sees them in order, and the
-// server's GC pin covers the blob at least until that POST completes.
+// so the server's per-connection staging sees them in order.
 func (p StorePeer) Put(ctx context.Context, data []byte) (string, error) {
 	digest := store.DigestOf(data)
 	var body bytes.Buffer

@@ -61,11 +61,10 @@ type indexFile struct {
 
 const indexVersion = 1
 
-// refJournalEntry is one line of refs.jsonl: refs to set and refs to
-// delete, applied in order during replay. A batched SetRefs is one entry.
+// refJournalEntry is one line of refs.jsonl: the refs one SetRef or
+// SetRefs call set, applied in order during replay.
 type refJournalEntry struct {
 	Set map[string]string `json:"set,omitempty"`
-	Del []string          `json:"del,omitempty"`
 }
 
 // journalCompactAt bounds journal growth for long-lived stores (daemons):
@@ -196,9 +195,6 @@ func (s *Disk) replayJournal() {
 		}
 		for name, digest := range e.Set {
 			s.refs[name] = digest
-		}
-		for _, name := range e.Del {
-			delete(s.refs, name)
 		}
 	}
 }
@@ -428,61 +424,4 @@ func (s *Disk) Refs() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return sortedKeys(s.refs)
-}
-
-// DeleteRef implements BlobStore.
-func (s *Disk) DeleteRef(name string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.refs[name]; !ok {
-		return nil
-	}
-	delete(s.refs, name)
-	return s.appendRefsLocked(refJournalEntry{Del: []string{name}})
-}
-
-// DeleteRefs implements BlobStore: all removals, one journal append
-// (none if nothing was present).
-func (s *Disk) DeleteRefs(names []string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var removed []string
-	for _, name := range names {
-		if _, ok := s.refs[name]; ok {
-			delete(s.refs, name)
-			removed = append(removed, name)
-		}
-	}
-	if len(removed) == 0 {
-		return nil
-	}
-	return s.appendRefsLocked(refJournalEntry{Del: removed})
-}
-
-// GC implements BlobStore: sweeps blobs that are neither in live nor the
-// direct target of a ref. Refs are untouched, so no index write happens —
-// the blob files and the in-memory inventory are the only casualties.
-func (s *Disk) GC(live map[string]bool) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	targets := make(map[string]bool, len(s.refs))
-	for _, d := range s.refs {
-		targets[d] = true
-	}
-	removed := 0
-	for d := range s.blobs {
-		if live[d] || targets[d] {
-			continue
-		}
-		h, err := parseDigest(d)
-		if err != nil {
-			continue
-		}
-		if err := os.Remove(s.blobPath(h)); err != nil && !os.IsNotExist(err) {
-			return removed, fmt.Errorf("store: gc %s: %w", d, err)
-		}
-		delete(s.blobs, d)
-		removed++
-	}
-	return removed, nil
 }

@@ -179,33 +179,3 @@ func TestDiskJournalTornTrailingLine(t *testing.T) {
 		t.Fatal("Open should compact the journal into a fresh snapshot")
 	}
 }
-
-func TestDiskJournalDeleteReplay(t *testing.T) {
-	t.Parallel()
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := s.Put([]byte("ref churn"))
-	if err := s.SetRef("study/keep", d); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetRef("study/drop", d); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeleteRef("study/drop"); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := re.Ref("study/drop"); ok {
-		t.Fatal("journaled delete not replayed")
-	}
-	if got, ok := re.Ref("study/keep"); !ok || got != d {
-		t.Fatalf("surviving ref lost: %q %v", got, ok)
-	}
-}

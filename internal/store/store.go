@@ -1,6 +1,8 @@
 // Package store is the persistent content-addressed blob store under the
-// result pipeline: sha256-named blobs written with atomic renames, a
-// small index file carrying named references, and a mark-and-sweep GC.
+// result pipeline: sha256-named blobs written with atomic renames and a
+// small index file carrying named references. The store is append-only:
+// nothing deletes a blob or a ref, and space is reclaimed by deleting
+// the directory.
 // It is the durable half of the archival discipline the study practiced —
 // the paper's release content-addresses 25,541 run datasets in an OCI
 // registry — lifted out of process memory so that every cmd/ invocation
@@ -67,9 +69,10 @@ func parseDigest(d string) (string, error) {
 
 // BlobStore is the storage contract shared by the on-disk and in-memory
 // stores, and the pluggable backend of the oras registry. Blobs are
-// immutable and content-addressed; refs are mutable names pointing at
-// digests (tags, manifest markers, cache keys). Implementations are safe
-// for concurrent use within one process.
+// immutable and content-addressed; refs are names pointing at digests
+// (tags, manifest markers, cache keys) that a later SetRef may re-point
+// but nothing removes. Implementations are safe for concurrent use
+// within one process.
 type BlobStore interface {
 	// Put stores data under its content digest and returns the digest.
 	// Storing identical content twice deduplicates.
@@ -95,16 +98,6 @@ type BlobStore interface {
 	Ref(name string) (string, bool)
 	// Refs returns all ref names, sorted.
 	Refs() []string
-	// DeleteRef removes a ref; deleting an absent ref is a no-op.
-	DeleteRef(name string) error
-	// DeleteRefs removes several refs with at most one index persist —
-	// the batch form GC uses to drop stale manifest markers.
-	DeleteRefs(names []string) error
-	// GC deletes every blob that is neither in live nor the direct target
-	// of a ref, returning how many were removed. Callers that layer
-	// indirection on top of refs (a manifest blob referencing layer
-	// blobs) must close over that indirection when building live.
-	GC(live map[string]bool) (removed int, err error)
 }
 
 // Memory is the in-process BlobStore: the test backend, and the default
@@ -225,39 +218,6 @@ func (m *Memory) Refs() []string {
 	return sortedKeys(m.refs)
 }
 
-// DeleteRef implements BlobStore.
-func (m *Memory) DeleteRef(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.refs, name)
-	return nil
-}
-
-// DeleteRefs implements BlobStore.
-func (m *Memory) DeleteRefs(names []string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, name := range names {
-		delete(m.refs, name)
-	}
-	return nil
-}
-
-// GC implements BlobStore.
-func (m *Memory) GC(live map[string]bool) (int, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	removed := 0
-	for d := range m.blobs {
-		if live[d] || m.refTargetLocked(d) {
-			continue
-		}
-		delete(m.blobs, d)
-		removed++
-	}
-	return removed, nil
-}
-
 // Corrupt overwrites a stored blob's bytes without renaming it — a test
 // hook for exercising the ErrCorrupt fallback paths. It reports whether
 // the digest was present.
@@ -269,15 +229,6 @@ func (m *Memory) Corrupt(digest string) bool {
 	}
 	m.blobs[digest] = []byte("corrupted")
 	return true
-}
-
-func (m *Memory) refTargetLocked(digest string) bool {
-	for _, d := range m.refs {
-		if d == digest {
-			return true
-		}
-	}
-	return false
 }
 
 func sortedKeys(m map[string]string) []string {

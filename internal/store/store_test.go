@@ -94,38 +94,6 @@ func TestRefs(t *testing.T) {
 		if refs := s.Refs(); len(refs) != 2 || refs[0] != "study/abc" || refs[1] != "unit/x" {
 			t.Fatalf("refs = %v", refs)
 		}
-		if err := s.DeleteRef("unit/x"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.DeleteRef("unit/x"); err != nil { // idempotent
-			t.Fatal(err)
-		}
-		if refs := s.Refs(); len(refs) != 1 {
-			t.Fatalf("refs after delete = %v", refs)
-		}
-	})
-}
-
-func TestGCKeepsLiveAndRefTargets(t *testing.T) {
-	t.Parallel()
-	both(t, func(t *testing.T, s BlobStore) {
-		kept, _ := s.Put([]byte("live"))
-		tagged, _ := s.Put([]byte("tagged"))
-		doomed, _ := s.Put([]byte("doomed"))
-		s.SetRef("tags/x", tagged)
-		removed, err := s.GC(map[string]bool{kept: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if removed != 1 {
-			t.Fatalf("removed %d, want 1", removed)
-		}
-		if !s.Has(kept) || !s.Has(tagged) || s.Has(doomed) {
-			t.Fatalf("gc kept wrong set: live=%v tagged=%v doomed=%v", s.Has(kept), s.Has(tagged), s.Has(doomed))
-		}
-		if _, err := s.Get(doomed); !errors.Is(err, ErrNotFound) {
-			t.Fatalf("swept blob still readable: %v", err)
-		}
 	})
 }
 

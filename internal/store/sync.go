@@ -42,8 +42,8 @@ type Inventory struct {
 }
 
 // TakeInventory snapshots a store's manifest. A ref whose target blob
-// is absent (evicted after external loss, or racing a GC) is withheld
-// rather than advertised.
+// is absent (evicted because its file vanished or its bytes were
+// damaged) is withheld rather than advertised.
 func TakeInventory(s BlobStore) Inventory {
 	inv := Inventory{Digests: s.Digests(), Refs: make(map[string]string)}
 	have := make(map[string]bool, len(inv.Digests))
