@@ -234,13 +234,13 @@ func TestRunnerCorruptBlobFallsBack(t *testing.T) {
 	key := dropCacheEntry(t, spec)
 
 	// Damage every layer of the stored bundle underneath the registry.
-	m, _, err := rs.reg.Resolve("study/" + key)
+	files, err := rs.reg.Pull("study/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range m.Layers {
-		if !mem.Corrupt(string(l.Digest)) {
-			t.Fatalf("layer %s not in store", l.Digest)
+	for name, data := range files {
+		if !mem.Corrupt(store.DigestOf(data)) {
+			t.Fatalf("layer %s not in store", name)
 		}
 	}
 

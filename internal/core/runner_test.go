@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"cloudhpc/internal/store"
 )
 
 // collectEvents drains a subscription in the background and returns a
@@ -276,13 +278,13 @@ func TestRunnerLogfCapturesStoreWarnings(t *testing.T) {
 	key := dropCacheEntry(t, spec)
 	// Damage every layer of the stored bundle so the warm load degrades
 	// and warns.
-	m, _, err := rs.reg.Resolve("study/" + key)
+	files, err := rs.reg.Pull("study/" + key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, l := range m.Layers {
-		if !mem.Corrupt(string(l.Digest)) {
-			t.Fatalf("layer %s not in store", l.Digest)
+	for name, data := range files {
+		if !mem.Corrupt(store.DigestOf(data)) {
+			t.Fatalf("layer %s not in store", name)
 		}
 	}
 

@@ -320,21 +320,24 @@ func (s *Session) counts(ev Event) Event {
 	return ev
 }
 
-// finish publishes the terminal state exactly once: the closing event,
-// the result, and the closed done channel; all subscriber channels close
-// after the closing event is delivered. The replay ring is kept — a
-// subscriber reattaching after completion still replays the retained
-// tail of the stream.
+// finish publishes the terminal state exactly once: the result and the
+// closed done channel, then the closing event, then the close of every
+// subscriber channel. Done closes first so that a subscriber holding the
+// closing event always finds the session done — Wait answers and a
+// progress query reports the terminal state, never "running". The
+// replay ring is kept — a subscriber reattaching after completion still
+// replays the retained tail of the stream.
 func (s *Session) finish(res *Results, err error) {
 	if s == nil {
 		return
 	}
+	s.res, s.err = res, err
+	close(s.done)
 	if err != nil {
 		s.emit(s.counts(Event{Kind: EventStudyFailed, Err: err}))
 	} else {
 		s.emit(s.counts(Event{Kind: EventStudyFinished}))
 	}
-	s.res, s.err = res, err
 	s.mu.Lock()
 	s.closed = true
 	for ch := range s.subs {
@@ -343,5 +346,4 @@ func (s *Session) finish(res *Results, err error) {
 		close(ch)
 	}
 	s.mu.Unlock()
-	close(s.done)
 }

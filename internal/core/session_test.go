@@ -212,3 +212,40 @@ func TestEventStreamIndependentOfStore(t *testing.T) {
 			len(bare), len(stored), bare, stored)
 	}
 }
+
+// TestSessionDoneBeforeTerminalEvent pins the order in which a session
+// publishes its end: by the time a subscriber reads the closing event,
+// Done is closed and Wait answers, so a progress query sent right after
+// it can never find the session still running. A wrong order shows only
+// when the subscriber wins a narrow race, so the test runs many short
+// sessions; after the first, each is served by the memory tier.
+func TestSessionDoneBeforeTerminalEvent(t *testing.T) {
+	t.Parallel()
+	spec := &StudySpec{Seed: 770006, Envs: []string{"google-gke-cpu"}, Apps: []string{"lammps"}, Scales: []int{2}, Iterations: 1, Workers: 1}
+	r := &Runner{}
+	for i := 0; i < 4000; i++ {
+		sess, err := r.Start(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch, _ := sess.Subscribe()
+		terminal := 0
+		for ev := range ch {
+			if ev.Kind != EventStudyFinished && ev.Kind != EventStudyFailed {
+				continue
+			}
+			terminal++
+			select {
+			case <-sess.Done():
+			default:
+				t.Fatalf("session %d: %s delivered before Done closed", i, ev.Kind)
+			}
+		}
+		if terminal != 1 {
+			t.Fatalf("session %d: %d closing events, want 1", i, terminal)
+		}
+		if _, err := sess.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -31,11 +31,6 @@ import (
 // Digest is a "sha256:<hex>" content address.
 type Digest string
 
-// DigestOf computes the canonical digest of a byte string.
-func DigestOf(data []byte) Digest {
-	return Digest(store.DigestOf(data))
-}
-
 // Descriptor points at a blob: digest, size, and media type.
 type Descriptor struct {
 	MediaType string `json:"mediaType"`
@@ -61,15 +56,6 @@ func (m Manifest) encode() ([]byte, error) {
 	return json.Marshal(m)
 }
 
-// digest computes the manifest's own address from its canonical encoding.
-func (m Manifest) digest() (Digest, error) {
-	data, err := m.encode()
-	if err != nil {
-		return "", err
-	}
-	return DigestOf(data), nil
-}
-
 // Registry errors.
 var (
 	ErrBlobUnknown     = errors.New("oras: blob unknown to registry")
@@ -91,9 +77,8 @@ const (
 // serialize their own state, and concurrent pushes are idempotent. The
 // registry only ever adds: no blob, manifest or marker ref is deleted,
 // so a layer stored by one call is still there for the manifest check
-// of the next, and a hand-composed PushBlob → PushManifest → Tag is as
-// safe as the one-shot Push verb. Sharing one backend directory between
-// processes is safe for pushes.
+// of the next. Sharing one backend directory between processes is safe
+// for pushes.
 type Registry struct {
 	// mu makes TagIfAbsent's check-and-set atomic: TagIfAbsent holds it
 	// exclusively and every other operation holds it shared, so no push,
@@ -113,18 +98,6 @@ func NewRegistry() *Registry {
 // and tag previously pushed into the same directory is visible.
 func NewRegistryWith(bs store.BlobStore) *Registry {
 	return &Registry{blobs: bs}
-}
-
-// PushBlob stores content and returns its descriptor. Identical content
-// deduplicates to the same digest.
-func (r *Registry) PushBlob(mediaType string, data []byte) (Descriptor, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	d, err := r.blobs.Put(data)
-	if err != nil {
-		return Descriptor{}, err
-	}
-	return Descriptor{MediaType: mediaType, Digest: Digest(d), Size: int64(len(data))}, nil
 }
 
 // FetchBlob retrieves and verifies a blob.
@@ -147,68 +120,9 @@ func (r *Registry) fetchBlobLocked(d Digest) ([]byte, error) {
 	return data, nil
 }
 
-// PushManifest stores a manifest after checking every referenced layer
-// exists, and returns the manifest digest.
-func (r *Registry) PushManifest(m Manifest) (Digest, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.pushManifestLocked(m)
-}
-
-func (r *Registry) pushManifestLocked(m Manifest) (Digest, error) {
-	for _, l := range m.Layers {
-		if !r.blobs.Has(string(l.Digest)) {
-			return "", fmt.Errorf("%w: manifest references %s", ErrBlobUnknown, l.Digest)
-		}
-	}
-	data, err := m.encode()
-	if err != nil {
-		return "", err
-	}
-	dig, err := r.blobs.Put(data)
-	if err != nil {
-		return "", err
-	}
-	if err := r.blobs.SetRef(manifestRefPrefix+dig, dig); err != nil {
-		return "", err
-	}
-	return Digest(dig), nil
-}
-
-// Tag points a name at a manifest digest.
-func (r *Registry) Tag(name string, d Digest) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.tagLocked(name, d)
-}
-
-func (r *Registry) tagLocked(name string, d Digest) error {
-	if _, ok := r.blobs.Ref(manifestRefPrefix + string(d)); !ok {
-		return fmt.Errorf("%w: %s", ErrManifestUnknown, d)
-	}
-	return r.blobs.SetRef(tagRefPrefix+name, string(d))
-}
-
-// Resolve returns the manifest a tag points at.
-func (r *Registry) Resolve(name string) (Manifest, Digest, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.resolveLocked(name)
-}
-
-func (r *Registry) resolveLocked(name string) (Manifest, Digest, error) {
-	dig, ok := r.blobs.Ref(tagRefPrefix + name)
-	if !ok {
-		return Manifest{}, "", fmt.Errorf("%w: %q", ErrTagUnknown, name)
-	}
-	m, err := r.manifestAt(Digest(dig))
-	if err != nil {
-		return Manifest{}, "", err
-	}
-	return m, Digest(dig), nil
-}
-
-// manifestAt fetches and decodes a stored manifest blob.
+// manifestAt fetches and decodes a stored manifest blob. Any JSON value
+// decodes as a Manifest, so one without an artifact type or without
+// layers is refused as not a manifest; Push never writes one.
 func (r *Registry) manifestAt(d Digest) (Manifest, error) {
 	data, err := r.blobs.Get(string(d))
 	switch {
@@ -222,6 +136,9 @@ func (r *Registry) manifestAt(d Digest) (Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return Manifest{}, fmt.Errorf("oras: decoding manifest %s: %w", d, err)
+	}
+	if m.ArtifactType == "" || len(m.Layers) == 0 {
+		return Manifest{}, fmt.Errorf("oras: %s is not a manifest: it needs an artifact type and at least one layer", d)
 	}
 	return m, nil
 }
@@ -299,8 +216,13 @@ func (r *Registry) ReconcileRefs(refs map[string]string) (applied, skipped int, 
 // Push is the ORAS convenience verb: store files as layers under one
 // manifest and tag it. Files map name → content; names land in layer
 // annotations like `oras push` does, in sorted name order so the layer
-// list — and therefore the manifest digest — is deterministic.
+// list — and therefore the manifest digest — is deterministic. An
+// artifact needs a type and at least one file: Push writes no manifest
+// that Pull would refuse.
 func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annotations map[string]string) (Digest, error) {
+	if artifactType == "" || len(files) == 0 {
+		return "", fmt.Errorf("oras: push %q: an artifact needs a type and at least one file", tag)
+	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	names := make([]string, 0, len(files))
@@ -342,11 +264,11 @@ func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annot
 func (r *Registry) Pull(tag string) (map[string][]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	m, _, err := r.resolveLocked(tag)
-	if err != nil {
-		return nil, err
+	dig, ok := r.blobs.Ref(tagRefPrefix + tag)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrTagUnknown, tag)
 	}
-	return r.pullManifestLocked(m)
+	return r.pullLocked(Digest(dig))
 }
 
 // PullDigest fetches all files of an artifact by its manifest digest,
@@ -357,14 +279,14 @@ func (r *Registry) Pull(tag string) (map[string][]byte, error) {
 func (r *Registry) PullDigest(d Digest) (map[string][]byte, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	return r.pullLocked(d)
+}
+
+func (r *Registry) pullLocked(d Digest) (map[string][]byte, error) {
 	m, err := r.manifestAt(d)
 	if err != nil {
 		return nil, err
 	}
-	return r.pullManifestLocked(m)
-}
-
-func (r *Registry) pullManifestLocked(m Manifest) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(m.Layers))
 	for i, l := range m.Layers {
 		data, err := r.fetchBlobLocked(l.Digest)
@@ -383,10 +305,10 @@ func (r *Registry) pullManifestLocked(m Manifest) (map[string][]byte, error) {
 // TagIfAbsent points a name at a manifest digest only if the name is
 // currently unbound — first-write-wins, the property that makes duplicate
 // fleet completions harmless: the first verified artifact claims the tag
-// and every later completion of the same unit becomes a no-op. Unlike
-// Tag, the target may be a plain ingested blob; it is validated here (it
-// must decode as a manifest and every layer must be present) and gains
-// its manifest marker together with the tag. The exclusive lock makes the
+// and every later completion of the same unit becomes a no-op. The
+// target may be a plain ingested blob; it is validated here (it must
+// decode as a manifest and every layer must be present) and gains its
+// manifest marker together with the tag. The exclusive lock makes the
 // absence check and the ref write atomic against concurrent taggers.
 func (r *Registry) TagIfAbsent(name string, d Digest) (bool, error) {
 	r.mu.Lock()

@@ -11,17 +11,20 @@ import (
 	"cloudhpc/internal/store"
 )
 
+// TestDigestOfStable: the registry addresses content by its sha256, so
+// the same bytes always get the same digest and different bytes another.
 func TestDigestOfStable(t *testing.T) {
 	t.Parallel()
-	a := DigestOf([]byte("hello"))
-	b := DigestOf([]byte("hello"))
+	r := NewRegistry()
+	a, _ := r.IngestBlob([]byte("hello"))
+	b, _ := r.IngestBlob([]byte("hello"))
 	if a != b {
 		t.Fatalf("digest not deterministic")
 	}
-	if a == DigestOf([]byte("world")) {
+	if w, _ := r.IngestBlob([]byte("world")); a == w {
 		t.Fatalf("different content same digest")
 	}
-	if a[:7] != "sha256:" {
+	if a != store.DigestOf([]byte("hello")) || a[:7] != "sha256:" {
 		t.Fatalf("digest format: %s", a)
 	}
 }
@@ -29,72 +32,97 @@ func TestDigestOfStable(t *testing.T) {
 func TestPushFetchBlob(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	desc, err := r.PushBlob("text/plain", []byte("data"))
+	d, err := r.IngestBlob([]byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if desc.Size != 4 {
-		t.Fatalf("size = %d", desc.Size)
-	}
-	got, err := r.FetchBlob(desc.Digest)
+	got, err := r.FetchBlob(Digest(d))
 	if err != nil || !bytes.Equal(got, []byte("data")) {
 		t.Fatalf("fetch: %q %v", got, err)
 	}
-	if _, err := r.FetchBlob("sha256:0000"); !errors.Is(err, ErrBlobUnknown) {
-		t.Fatalf("unknown blob: %v", err)
+	for _, unknown := range []Digest{"sha256:0000", Digest(store.DigestOf([]byte("absent")))} {
+		if _, err := r.FetchBlob(unknown); !errors.Is(err, ErrBlobUnknown) {
+			t.Fatalf("unknown blob %s: %v", unknown, err)
+		}
 	}
 }
 
+// TestBlobDeduplication: identical content is stored once, whether it
+// arrives as an ingest or as the layer of two pushes.
 func TestBlobDeduplication(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	r.PushBlob("a", []byte("same"))
-	r.PushBlob("b", []byte("same"))
-	if r.BlobCount() != 1 {
-		t.Fatalf("identical content should deduplicate, have %d blobs", r.BlobCount())
+	r.IngestBlob([]byte("same"))
+	r.IngestBlob([]byte("same"))
+	files := map[string][]byte{"f": []byte("same")}
+	da, errA := r.Push("a", "t", files, nil)
+	db, errB := r.Push("b", "t", files, nil)
+	if errA != nil || errB != nil {
+		t.Fatal(errA, errB)
+	}
+	if da != db {
+		t.Fatalf("identical artifacts got manifests %s and %s", da, db)
+	}
+	if r.BlobCount() != 1 || r.ManifestCount() != 1 {
+		t.Fatalf("identical content should deduplicate, have %d blobs and %d manifests", r.BlobCount(), r.ManifestCount())
 	}
 }
 
 func TestFetchReturnsCopy(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	desc, _ := r.PushBlob("t", []byte("immutable"))
-	got, _ := r.FetchBlob(desc.Digest)
+	d, _ := r.IngestBlob([]byte("immutable"))
+	got, _ := r.FetchBlob(Digest(d))
 	got[0] = 'X'
-	again, _ := r.FetchBlob(desc.Digest)
+	again, _ := r.FetchBlob(Digest(d))
 	if again[0] != 'i' {
 		t.Fatalf("registry content mutated through a fetch")
 	}
 }
 
+// TestManifestNeedsLayers: Push refuses an artifact with no files or no
+// type and stores nothing for it, so the registry never writes a
+// manifest that Pull would refuse.
 func TestManifestNeedsLayers(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	_, err := r.PushManifest(Manifest{Layers: []Descriptor{{Digest: "sha256:missing"}}})
-	if !errors.Is(err, ErrBlobUnknown) {
-		t.Fatalf("dangling layer accepted: %v", err)
+	for _, tc := range []struct {
+		name, artifactType string
+		files              map[string][]byte
+	}{
+		{"no files", "t", nil},
+		{"empty file set", "t", map[string][]byte{}},
+		{"no artifact type", "", map[string][]byte{"f": []byte("x")}},
+	} {
+		if d, err := r.Push("v1", tc.artifactType, tc.files, nil); err == nil {
+			t.Fatalf("%s: pushed as %s, want a refusal", tc.name, d)
+		}
+	}
+	if n := r.blobs.Len(); n != 0 {
+		t.Fatalf("refused pushes stored %d blobs", n)
+	}
+	if refs := r.blobs.Refs(); len(refs) != 0 {
+		t.Fatalf("refused pushes set refs %v", refs)
 	}
 }
 
+// TestTagResolve: Pull resolves a pushed tag to its artifact's files,
+// and refuses a tag nothing pushed.
 func TestTagResolve(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	desc, _ := r.PushBlob("t", []byte("x"))
-	d, err := r.PushManifest(Manifest{ArtifactType: "test", Layers: []Descriptor{desc}})
+	d, err := r.Push("v1", "test", map[string][]byte{"x": []byte("x")}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Tag("v1", d); err != nil {
-		t.Fatal(err)
+	if got, ok := r.blobs.Ref(tagRefPrefix + "v1"); !ok || Digest(got) != d {
+		t.Fatalf("tag v1 -> %q %v, want %s", got, ok, d)
 	}
-	m, got, err := r.Resolve("v1")
-	if err != nil || got != d || m.ArtifactType != "test" {
-		t.Fatalf("resolve: %v %v", got, err)
+	files, err := r.Pull("v1")
+	if err != nil || len(files) != 1 || string(files["x"]) != "x" {
+		t.Fatalf("pull: %q %v", files, err)
 	}
-	if err := r.Tag("bad", "sha256:nope"); !errors.Is(err, ErrManifestUnknown) {
-		t.Fatalf("tagging unknown manifest: %v", err)
-	}
-	if _, _, err := r.Resolve("absent"); !errors.Is(err, ErrTagUnknown) {
+	if _, err := r.Pull("absent"); !errors.Is(err, ErrTagUnknown) {
 		t.Fatalf("unknown tag: %v", err)
 	}
 }
@@ -122,16 +150,24 @@ func TestPushPullRoundTrip(t *testing.T) {
 	}
 }
 
+// TestManifestDigestCanonical: two pushes of one artifact whose file and
+// annotation maps were built in different orders get one manifest digest.
 func TestManifestDigestCanonical(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	desc, _ := r.PushBlob("t", []byte("x"))
-	m1 := Manifest{ArtifactType: "a", Layers: []Descriptor{desc},
-		Annotations: map[string]string{"k1": "v1", "k2": "v2"}}
-	m2 := Manifest{ArtifactType: "a", Layers: []Descriptor{desc},
-		Annotations: map[string]string{"k2": "v2", "k1": "v1"}}
-	d1, _ := r.PushManifest(m1)
-	d2, _ := r.PushManifest(m2)
+	f1 := map[string][]byte{}
+	f1["a"], f1["b"] = []byte("x"), []byte("y")
+	f2 := map[string][]byte{}
+	f2["b"], f2["a"] = []byte("y"), []byte("x")
+	a1 := map[string]string{}
+	a1["k1"], a1["k2"] = "v1", "v2"
+	a2 := map[string]string{}
+	a2["k2"], a2["k1"] = "v2", "v1"
+	d1, err1 := r.Push("one", "a", f1, a1)
+	d2, err2 := r.Push("two", "a", f2, a2)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
 	if d1 != d2 {
 		t.Fatalf("annotation order changed manifest identity")
 	}
@@ -146,22 +182,21 @@ func TestConcurrentPushes(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				data := []byte{byte(i), byte(j)}
-				desc, err := r.PushBlob("t", data)
-				if err != nil {
+				tag, data := fmt.Sprintf("t/%d/%d", i, j), []byte{byte(i), byte(j)}
+				if _, err := r.Push(tag, "t", map[string][]byte{"f": data}, nil); err != nil {
 					t.Errorf("push: %v", err)
 					return
 				}
-				if got, err := r.FetchBlob(desc.Digest); err != nil || !bytes.Equal(got, data) {
-					t.Errorf("concurrent fetch mismatch")
+				if got, err := r.Pull(tag); err != nil || !bytes.Equal(got["f"], data) {
+					t.Errorf("concurrent pull mismatch: %v", err)
 					return
 				}
 			}
 		}(i)
 	}
 	wg.Wait()
-	if r.BlobCount() != 16*50 {
-		t.Fatalf("blob count = %d", r.BlobCount())
+	if r.BlobCount() != 16*50 || r.ManifestCount() != 16*50 {
+		t.Fatalf("%d blobs and %d manifests, want %d of each", r.BlobCount(), r.ManifestCount(), 16*50)
 	}
 }
 
@@ -169,12 +204,12 @@ func TestBlobRoundTripProperty(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
 	f := func(data []byte) bool {
-		desc, err := r.PushBlob("t", data)
+		d, err := r.IngestBlob(data)
 		if err != nil {
 			return false
 		}
-		got, err := r.FetchBlob(desc.Digest)
-		return err == nil && bytes.Equal(got, data) && desc.Size == int64(len(data))
+		got, err := r.FetchBlob(Digest(d))
+		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -222,9 +257,9 @@ func TestFetchCorruptBlobReportsMismatch(t *testing.T) {
 	t.Parallel()
 	bs := store.NewMemory()
 	r := NewRegistryWith(bs)
-	desc, _ := r.PushBlob("t", []byte("pristine"))
-	bs.Corrupt(string(desc.Digest))
-	if _, err := r.FetchBlob(desc.Digest); !errors.Is(err, ErrDigestMismatch) {
+	d, _ := r.IngestBlob([]byte("pristine"))
+	bs.Corrupt(d)
+	if _, err := r.FetchBlob(Digest(d)); !errors.Is(err, ErrDigestMismatch) {
 		t.Fatalf("want ErrDigestMismatch, got %v", err)
 	}
 }
@@ -241,7 +276,7 @@ func TestReconcileRefsSkipsMissingTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	absent := string(DigestOf([]byte("never stored")))
+	absent := store.DigestOf([]byte("never stored"))
 	applied, skipped, err := r.ReconcileRefs(map[string]string{
 		"oras/tag/study/here":  d,
 		"oras/tag/study/there": absent,
@@ -304,8 +339,8 @@ func TestTagIfAbsentFirstWriteWins(t *testing.T) {
 			t.Fatalf("bound tag, manifest %s: ok=%v err=%v, want false", d, ok, err)
 		}
 	}
-	if _, got, err := r.Resolve("unit/x"); err != nil || got != first {
-		t.Fatalf("tag resolves to %s (%v), want the first manifest %s", got, err, first)
+	if got, _ := r.blobs.Ref(tagRefPrefix + "unit/x"); Digest(got) != first {
+		t.Fatalf("tag points at %s, want the first manifest %s", got, first)
 	}
 	files, err := r.Pull("unit/x")
 	if err != nil || string(files["layer-0"]) != "first result" {
@@ -317,22 +352,24 @@ func TestTagIfAbsentFirstWriteWins(t *testing.T) {
 }
 
 // TestTagIfAbsentRefusesInvalidTargets: a digest that is not a stored
-// manifest, or a manifest whose layer is missing, is refused and binds
-// nothing — not the tag and not a manifest marker.
+// manifest — a plain blob, an absent digest, or JSON without an artifact
+// type or without layers — or a manifest whose layer is missing, is
+// refused and binds nothing, not the tag and not a manifest marker.
+// PullDigest refuses each of them too.
 func TestTagIfAbsentRefusesInvalidTargets(t *testing.T) {
 	t.Parallel()
 	r := NewRegistry()
-	plain, err := r.IngestBlob([]byte("not a manifest"))
-	if err != nil {
-		t.Fatal(err)
+	ingest := func(data []byte) Digest {
+		t.Helper()
+		d, err := r.IngestBlob(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Digest(d)
 	}
 	dangling, err := Manifest{ArtifactType: "t", Layers: []Descriptor{{
-		MediaType: "application/octet-stream", Digest: DigestOf([]byte("never stored")), Size: 12,
+		MediaType: "application/octet-stream", Digest: Digest(store.DigestOf([]byte("never stored"))), Size: 12,
 	}}}.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	danglingDigest, err := r.IngestBlob(dangling)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,9 +378,13 @@ func TestTagIfAbsentRefusesInvalidTargets(t *testing.T) {
 		d    Digest
 		want error
 	}{
-		{"plain blob", Digest(plain), nil},
-		{"absent digest", DigestOf([]byte("absent")), ErrManifestUnknown},
-		{"missing layer", Digest(danglingDigest), ErrBlobUnknown},
+		{"plain blob", ingest([]byte("not a manifest")), nil},
+		{"absent digest", Digest(store.DigestOf([]byte("absent"))), ErrManifestUnknown},
+		{"missing layer", ingest(dangling), ErrBlobUnknown},
+		{"null", ingest([]byte("null")), nil},
+		{"empty object", ingest([]byte("{}")), nil},
+		{"no layers", ingest([]byte(`{"layers":[]}`)), nil},
+		{"no artifact type", ingest([]byte(`{"artifactType":"x"}`)), nil},
 	} {
 		ok, err := r.TagIfAbsent("unit/x", tc.d)
 		if ok || err == nil {
@@ -357,6 +398,9 @@ func TestTagIfAbsentRefusesInvalidTargets(t *testing.T) {
 		}
 		if n := r.ManifestCount(); n != 0 {
 			t.Fatalf("%s: refused target left %d manifest markers", tc.name, n)
+		}
+		if files, err := r.PullDigest(tc.d); err == nil {
+			t.Fatalf("%s: PullDigest returned %d files, want a refusal", tc.name, len(files))
 		}
 	}
 }
@@ -412,8 +456,8 @@ func TestTagIfAbsentRace(t *testing.T) {
 		if winner < 0 {
 			t.Fatalf("tag %d: no caller bound it", k)
 		}
-		if _, got, err := r.Resolve(fmt.Sprintf("unit/%d", k)); err != nil || got != digests[winner] {
-			t.Fatalf("tag %d resolves to %s (%v), want the winner's %s", k, got, err, digests[winner])
+		if got, _ := r.blobs.Ref(tagRefPrefix + fmt.Sprintf("unit/%d", k)); Digest(got) != digests[winner] {
+			t.Fatalf("tag %d points at %s, want the winner's %s", k, got, digests[winner])
 		}
 	}
 }

@@ -16,50 +16,36 @@ import (
 // Disk is the on-disk BlobStore. Layout under the root directory:
 //
 //	blobs/<hex>    one file per blob, named by its sha256
-//	index.json     ref snapshot (name → digest); blobs inventoried by scan
-//	refs.jsonl     append-only ref journal since the snapshot
+//	refs.jsonl     append-only ref journal, the store's only ref record
 //
-// Every blob and snapshot write goes through a temporary file and an
-// atomic rename, so readers never observe a partial file and a crash
-// mid-write leaves at worst an orphan temp file. Ref mutations do not
-// rewrite the snapshot — they append one journal line, so an N-artifact
-// ingest costs O(N) journal bytes instead of the O(N²) it would pay
-// rewriting a growing index per push. Open replays the journal over the
-// snapshot and compacts (fresh snapshot, journal removed); a torn
-// trailing journal line just truncates the replay there. Writes are not
-// fsynced (the store is a cache; recompute covers loss), so a power
-// loss can tear a recently-renamed blob — torn content is caught by
-// Get's digest verification and healed by the next Put of the same
-// digest, and an orphan blob (crash before any ref write) is adopted by
-// Open's directory rescan: content addressing means an orphan is never
-// wrong, only unindexed.
+// Every blob write goes through a temporary file and an atomic rename,
+// so readers never observe a partial blob and a crash mid-write leaves
+// at worst an orphan temp file. A ref batch appends one journal line, so
+// an N-artifact ingest costs O(N) journal bytes. Nothing removes a file
+// or rewrites the journal, and Open only reads: it inventories blobs/,
+// replays the journal and drops, in memory, every ref whose blob is
+// gone. Replay skips a malformed line, and the first append after a
+// torn tail starts on a new line, so a torn append loses only its own
+// batch. Writes are not fsynced (the store is a cache; recompute covers
+// loss), so a power loss can tear a recently-renamed blob — torn content
+// is caught by Get's digest verification and healed by the next Put of
+// the same digest, and an orphan blob (crash before any ref write) is
+// adopted by Open's directory scan: content addressing means an orphan
+// is never wrong, only unreferenced.
 //
-// A Disk store is safe for concurrent use within one process. Sharing one
-// directory between processes is safe for blobs (idempotent, atomic) but
-// not for refs — concurrent journal appends interleave safely (O_APPEND),
-// but a second Open compacts and may drop entries the first process
-// appends afterwards; the study tooling treats that as acceptable because
-// every writer stores the same content under the same keys.
+// A Disk store is safe for concurrent use within one process, and
+// processes may share one directory: blob writes are idempotent and
+// atomic, each journal append is one O_APPEND write, and no process
+// removes what another wrote. A process sees the refs another appends
+// from its next Open on.
 type Disk struct {
 	dir string
 
-	mu         sync.Mutex
-	blobs      map[string]int64  // digest → size
-	refs       map[string]string // name → digest
-	journalLen int               // entries appended since the last snapshot
+	mu    sync.Mutex
+	blobs map[string]int64  // digest → size
+	refs  map[string]string // name → digest
+	torn  bool              // the journal may end mid-line; the next append starts a new one
 }
-
-// indexFile is the persisted snapshot of the refs. The blob inventory is
-// deliberately not persisted — the blobs directory is the truth and Open
-// rebuilds the inventory by scanning it — and ref mutations between
-// snapshots live in the journal, so neither Put nor SetRefs ever rewrites
-// this file on the hot path.
-type indexFile struct {
-	Version int               `json:"version"`
-	Refs    map[string]string `json:"refs"`
-}
-
-const indexVersion = 1
 
 // refJournalEntry is one line of refs.jsonl: the refs one SetRef or
 // SetRefs call set, applied in order during replay.
@@ -67,31 +53,23 @@ type refJournalEntry struct {
 	Set map[string]string `json:"set,omitempty"`
 }
 
-// journalCompactAt bounds journal growth for long-lived stores (daemons):
-// once the journal holds this many entries AND dwarfs the live ref set,
-// the next mutation folds it into a fresh snapshot. High enough that a
-// full cold study (a few hundred ref batches) never compacts mid-run.
-const journalCompactAt = 1024
-
-// Open opens (creating if needed) a disk store rooted at dir.
+// Open opens (creating if needed) a disk store rooted at dir. Opening an
+// existing store writes nothing.
 func Open(dir string) (*Disk, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "blobs"), 0o755); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Disk{
-		dir:   dir,
-		blobs: make(map[string]int64),
-		refs:  make(map[string]string),
-	}
-	replay, err := s.loadIndex()
-	if err != nil {
+	s := &Disk{dir: dir, refs: make(map[string]string)}
+	if err := s.scanBlobs(); err != nil {
 		return nil, err
 	}
-	if replay {
-		s.replayJournal()
-	}
-	if err := s.reconcile(); err != nil {
+	if err := s.replayJournal(); err != nil {
 		return nil, err
+	}
+	for name, d := range s.refs {
+		if _, ok := s.blobs[d]; !ok {
+			delete(s.refs, name)
+		}
 	}
 	return s, nil
 }
@@ -99,59 +77,18 @@ func Open(dir string) (*Disk, error) {
 // Dir returns the store's root directory.
 func (s *Disk) Dir() string { return s.dir }
 
-func (s *Disk) indexPath() string        { return filepath.Join(s.dir, "index.json") }
 func (s *Disk) journalPath() string      { return filepath.Join(s.dir, "refs.jsonl") }
 func (s *Disk) blobPath(h string) string { return filepath.Join(s.dir, "blobs", h) }
 
-// loadIndex reads the index.json snapshot. A missing or damaged
-// snapshot is an empty baseline (the blobs directory scan in reconcile
-// recovers any existing content, and the journal — written by this
-// schema — is still worth replaying over it). The returned bool says
-// whether the journal may be replayed: false only when the snapshot
-// carries an unknown version, because then the journal was plausibly
-// written by that same future build and cannot be trusted either.
-func (s *Disk) loadIndex() (replayJournal bool, err error) {
-	data, err := os.ReadFile(s.indexPath())
-	if os.IsNotExist(err) {
-		return true, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("store: reading index: %w", err)
-	}
-	var idx indexFile
-	if err := json.Unmarshal(data, &idx); err != nil {
-		// A torn or damaged snapshot is recoverable: the blobs are the
-		// truth and the journal holds every ref written since the last
-		// good snapshot. Rebuild rather than refuse to open.
-		return true, nil
-	}
-	if idx.Version != indexVersion {
-		// An index written by an unknown (future) schema must not be
-		// parsed as v1 — its refs may mean something else entirely — and
-		// neither may the journal that build left behind. Treat both
-		// like damaged state: the blob scan recovers the content, the
-		// refs are lost, and the format can evolve without corrupting
-		// old readers.
-		log.Printf("store: %s: index version %d (this build reads v%d); rebuilding refs from the blob scan",
-			s.indexPath(), idx.Version, indexVersion)
-		return false, nil
-	}
-	if idx.Refs != nil {
-		s.refs = idx.Refs
-	}
-	return true, nil
-}
-
-// reconcile makes the in-memory inventory agree with the blobs directory:
-// orphan files (crash between blob rename and index write) are adopted,
-// indexed-but-missing blobs are dropped, and refs whose target vanished
-// are deleted.
-func (s *Disk) reconcile() error {
+// scanBlobs inventories the blobs directory, the truth about which
+// blobs the store holds: orphan files (a crash between blob rename and
+// ref append) are adopted, and temp and foreign files are skipped.
+func (s *Disk) scanBlobs() error {
 	entries, err := os.ReadDir(filepath.Join(s.dir, "blobs"))
 	if err != nil {
 		return fmt.Errorf("store: scanning blobs: %w", err)
 	}
-	onDisk := make(map[string]int64, len(entries))
+	s.blobs = make(map[string]int64, len(entries))
 	for _, e := range entries {
 		if e.IsDir() || strings.HasPrefix(e.Name(), "tmp-") {
 			continue
@@ -163,35 +100,33 @@ func (s *Disk) reconcile() error {
 		if err != nil {
 			continue
 		}
-		onDisk["sha256:"+e.Name()] = info.Size()
+		s.blobs["sha256:"+e.Name()] = info.Size()
 	}
-	s.blobs = onDisk
-	for name, d := range s.refs {
-		if _, ok := s.blobs[d]; !ok {
-			delete(s.refs, name)
-		}
-	}
-	return s.compactRefsLocked()
+	return nil
 }
 
-// replayJournal applies refs.jsonl on top of the snapshot loadIndex
-// read. Replay stops at the first malformed line — a torn trailing
-// append loses only that entry; the refs are cache metadata and the
-// recompute path covers anything dropped.
-func (s *Disk) replayJournal() {
+// replayJournal applies refs.jsonl in order. A malformed line — a torn
+// append, or damage — is logged and skipped, and replay goes on with the
+// next line; the refs are cache metadata and the recompute path covers
+// anything dropped.
+func (s *Disk) replayJournal() error {
 	data, err := os.ReadFile(s.journalPath())
-	if err != nil {
-		return
+	if os.IsNotExist(err) {
+		return nil
 	}
+	if err != nil {
+		return fmt.Errorf("store: reading ref journal: %w", err)
+	}
+	s.torn = len(data) > 0 && data[len(data)-1] != '\n'
 	d := jsonl.NewDecoder[refJournalEntry]("store: ref journal", data)
 	for {
 		e, ok, err := d.Next()
 		if err != nil {
-			log.Printf("store: %s: %v; dropping the journal tail", s.journalPath(), err)
-			return
+			log.Printf("store: %s: %v; skipping the line", s.journalPath(), err)
+			continue
 		}
 		if !ok {
-			return
+			return nil
 		}
 		for name, digest := range e.Set {
 			s.refs[name] = digest
@@ -199,56 +134,31 @@ func (s *Disk) replayJournal() {
 	}
 }
 
-// appendRefsLocked journals one ref mutation (already applied to
-// s.refs): a single O_APPEND write instead of a whole-snapshot rewrite.
-// When the journal has grown far past the live ref set it is folded
-// into a fresh snapshot. Callers hold s.mu.
+// appendRefsLocked journals one ref batch (already applied to s.refs)
+// as a single O_APPEND write. Callers hold s.mu.
 func (s *Disk) appendRefsLocked(e refJournalEntry) error {
-	if s.journalLen >= journalCompactAt && s.journalLen >= 4*len(s.refs) {
-		return s.compactRefsLocked()
-	}
 	data, err := json.Marshal(e)
 	if err != nil {
 		return err
+	}
+	line := append(data, '\n')
+	if s.torn {
+		line = append([]byte{'\n'}, line...)
 	}
 	f, err := os.OpenFile(s.journalPath(), os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: opening ref journal: %w", err)
 	}
-	_, werr := f.Write(append(data, '\n'))
+	_, werr := f.Write(line)
 	if cerr := f.Close(); werr == nil {
 		werr = cerr
 	}
+	// A failed write may have left part of the line behind.
+	s.torn = werr != nil
 	if werr != nil {
 		return fmt.Errorf("store: appending ref journal: %w", werr)
 	}
-	s.journalLen++
 	return nil
-}
-
-// compactRefsLocked folds the journal into a fresh snapshot: write
-// index.json, then remove refs.jsonl. A crash between the two replays
-// already-snapshotted entries on the next Open — harmless, the replay
-// is idempotent. Callers hold s.mu (or have exclusive access in Open).
-func (s *Disk) compactRefsLocked() error {
-	if err := s.persistIndexLocked(); err != nil {
-		return err
-	}
-	if err := os.Remove(s.journalPath()); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: removing ref journal: %w", err)
-	}
-	s.journalLen = 0
-	return nil
-}
-
-// persistIndexLocked atomically rewrites index.json. Callers hold s.mu
-// (or have exclusive access during Open).
-func (s *Disk) persistIndexLocked() error {
-	data, err := json.Marshal(indexFile{Version: indexVersion, Refs: s.refs})
-	if err != nil {
-		return err
-	}
-	return s.atomicWrite(s.indexPath(), data)
 }
 
 // atomicWrite writes data to path via a temp file + rename in the same
@@ -294,7 +204,7 @@ func (s *Disk) Put(data []byte) (string, error) {
 	if err := s.atomicWrite(s.blobPath(h), data); err != nil {
 		return "", err
 	}
-	// No index write: the blob file itself is the durable record (Open
+	// No ref write: the blob file itself is the durable record (Open
 	// rescans the directory), so Put costs one file write, not two.
 	s.blobs[d] = int64(len(data))
 	return d, nil
@@ -330,10 +240,10 @@ func (s *Disk) Get(digest string) ([]byte, error) {
 }
 
 // evict drops a digest from the in-memory inventory along with any refs
-// pointing at it (mirroring Open's reconcile). The index file is not
-// rewritten: eviction is cache coherence, not durable state — the next
-// Open's blob scan and ref reconcile reach the same conclusion from the
-// directory itself.
+// pointing at it (as Open drops refs whose blob is gone). Nothing is
+// written: eviction is cache coherence, not durable state — the next
+// Open's blob scan reaches the same conclusion from the directory
+// itself.
 func (s *Disk) evict(digest string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

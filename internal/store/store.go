@@ -1,15 +1,16 @@
 // Package store is the persistent content-addressed blob store under the
-// result pipeline: sha256-named blobs written with atomic renames and a
-// small index file carrying named references. The store is append-only:
-// nothing deletes a blob or a ref, and space is reclaimed by deleting
-// the directory.
+// result pipeline: sha256-named blobs written with atomic renames and an
+// append-only journal carrying named references. The store is
+// append-only: nothing deletes a blob or a ref, and space is reclaimed
+// by deleting the directory.
 // It is the durable half of the archival discipline the study practiced —
 // the paper's release content-addresses 25,541 run datasets in an OCI
 // registry — lifted out of process memory so that every cmd/ invocation
 // and CI step can share one store instead of recomputing the study.
 //
 // Two implementations share the BlobStore interface: Disk, the on-disk
-// store (one file per blob under <dir>/blobs, an index.json for refs),
+// store (one file per blob under <dir>/blobs, a refs.jsonl journal for
+// refs),
 // and Memory, the in-process store the tests and the default in-memory
 // oras registry use. Content addressing makes writes idempotent and reads
 // self-verifying: Get re-hashes every blob and returns ErrCorrupt when

@@ -175,9 +175,10 @@ func TestDiskRebuildsFromBlobsWhenIndexLost(t *testing.T) {
 	d, _ := s1.Put([]byte("orphan-adopted"))
 	s1.SetRef("tags/x", d)
 
-	// A lost snapshot alone is survivable: the ref journal holds every
-	// mutation since the last compaction, so replay recovers the ref.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
+	// The ref journal is the store's only ref index. Losing it loses the
+	// refs; the blobs are still the truth and the scan recovers the
+	// content.
+	if err := os.Remove(filepath.Join(dir, "refs.jsonl")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(dir)
@@ -187,27 +188,8 @@ func TestDiskRebuildsFromBlobsWhenIndexLost(t *testing.T) {
 	if !s2.Has(d) {
 		t.Fatal("blob not recovered from directory scan")
 	}
-	if ref, ok := s2.Ref("tags/x"); !ok || ref != d {
-		t.Fatalf("journal replay should recover the ref: %q %v", ref, ok)
-	}
-
-	// Losing both snapshot and journal loses the refs; the blobs are
-	// still the truth and the scan recovers the content.
-	if err := os.Remove(filepath.Join(dir, "index.json")); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "refs.jsonl")); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
-	s3, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s3.Has(d) {
-		t.Fatal("blob not recovered from directory scan")
-	}
-	if _, ok := s3.Ref("tags/x"); ok {
-		t.Fatal("refs should not survive losing both snapshot and journal")
+	if _, ok := s2.Ref("tags/x"); ok {
+		t.Fatal("refs should not survive losing the journal")
 	}
 }
 
