@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"strconv"
 
 	"cloudhpc/internal/cloud"
 	"cloudhpc/internal/sim"
@@ -33,30 +32,21 @@ func (s *SingleNode) Run(env Env, nodes int, rng *sim.Stream) Result {
 	return Result{FOM: fom, Unit: s.Unit(), Wall: wallFromRate(1e4, fom)}
 }
 
-// Report is the per-node inventory the benchmark collects.
+// Report is the per-node inventory the benchmark collects: the processor
+// count the audit compares against the SKU, and the sysbench score. The
+// dmidecode and hwloc captures of §2.8 are not kept as text, since
+// nothing reads them.
 type Report struct {
-	NodeID     string
-	Processors int    // from /proc/cpuinfo
-	DMI        string // dmidecode product summary
-	Topology   string // hwloc summary
+	Processors int // from /proc/cpuinfo
 	Sysbench   float64
 }
 
 // Collect produces the inventory of one provisioned node. The audit runs
-// it against every node of an environment's largest fleet, so the summary
-// strings are append-built ("%s (%s)" and "Machine: %d cores, %d GPUs").
+// it against every node of an environment's largest fleet, so it builds
+// no strings. It draws exactly one value from rng, the sysbench score.
 func Collect(n *cloud.Node, rng *sim.Stream) Report {
-	var a [64]byte
-	b := append(a[:0], "Machine: "...)
-	b = strconv.AppendInt(b, int64(n.VisibleCores), 10)
-	b = append(b, " cores, "...)
-	b = strconv.AppendInt(b, int64(n.VisibleGPUs), 10)
-	b = append(b, " GPUs"...)
 	return Report{
-		NodeID:     n.ID,
 		Processors: n.VisibleCores,
-		DMI:        n.Type.Name + " (" + n.Type.Processor + ")",
-		Topology:   string(b),
 		Sysbench:   rng.Jitter(float64(n.VisibleCores)*n.Type.ClockGHz*95, 0.02),
 	}
 }

@@ -81,7 +81,7 @@ func (a *Autoscaler) reconcile() {
 		a.opsUp++
 		a.log.Addf(a.sim.Now(), a.env, trace.Info, trace.Routine,
 			"autoscaler: scaling up by %d workers (op %d)", add, a.opsUp)
-		a.sim.After(a.ScaleUpDelay, "workers ready", func() {
+		a.sim.After(a.ScaleUpDelay, func() {
 			// Bill boot time: nodes charge from request, not readiness.
 			a.meter.ChargeNodeHours(a.env, a.itype, add, a.ScaleUpDelay, "worker boot")
 			a.pending -= add
@@ -98,7 +98,7 @@ func (a *Autoscaler) reconcile() {
 
 // armIdleTimer schedules the scale-down check.
 func (a *Autoscaler) armIdleTimer() {
-	a.sim.After(a.IdleTimeout, "idle check", func() {
+	a.sim.After(a.IdleTimeout, func() {
 		a.idleCheck = false
 		want := a.demand
 		if want < a.MinWorkers {

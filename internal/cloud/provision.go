@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"cloudhpc/internal/sim"
@@ -174,9 +175,22 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 		Type:      req.Type,
 		Placement: placement,
 		CreatedAt: p.sim.Now(),
+		Nodes:     make([]*Node, req.Nodes),
 	}
-	for i := 0; i < req.Nodes; i++ {
-		c.Nodes = append(c.Nodes, p.newNode(req, rng, i))
+	// The nodes live in one slab, and their IDs in one string that each
+	// Node.ID is a substring of (Builder.String does not copy), so a
+	// cluster of any size costs the same handful of allocations. The
+	// string is sized by the last ID, the widest.
+	slab := make([]Node, req.Nodes)
+	var ids strings.Builder
+	var idBuf [48]byte
+	ids.Grow(req.Nodes * len(appendNodeID(idBuf[:0], req.Env, p.counter+req.Nodes)))
+	for i := range slab {
+		from := ids.Len()
+		p.counter++
+		ids.Write(appendNodeID(idBuf[:0], req.Env, p.counter))
+		p.initNode(&slab[i], ids.String()[from:], req, rng)
+		c.Nodes[i] = &slab[i]
 	}
 
 	// Azure GPU: a node that keeps coming up with 7/8 GPUs.
@@ -196,7 +210,7 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 			return nil, fmt.Errorf("%w: defective GPU node and no spare quota", ErrProvisionFailed)
 		}
 		// Bring up a 33rd node and drop the defective one.
-		replacement := p.newNode(req, rng, req.Nodes)
+		replacement := p.newNode(req, rng)
 		for i, n := range c.Nodes {
 			if n == bad {
 				c.Nodes[i] = replacement
@@ -222,26 +236,32 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 	return c, nil
 }
 
-// newNode constructs one node with defect/ECC rolls applied.
-func (p *Provisioner) newNode(req ProvisionRequest, rng *sim.Stream, idx int) *Node {
+// newNode constructs one node with defect/ECC rolls applied; the spare
+// node of a defective bring-up takes this path.
+func (p *Provisioner) newNode(req ProvisionRequest, rng *sim.Stream) *Node {
 	p.counter++
-	// "%s-node-%04d": the counter is always positive, so the fmt zero-pad
-	// is plain leading zeros.
 	var a [48]byte
-	b := append(a[:0], req.Env...)
+	n := new(Node)
+	p.initNode(n, string(appendNodeID(a[:0], req.Env, p.counter)), req, rng)
+	return n
+}
+
+// appendNodeID appends "%s-node-%04d" of env and id. The id is always
+// positive, so the fmt zero-pad is plain leading zeros.
+func appendNodeID(b []byte, env string, id int) []byte {
+	b = append(b, env...)
 	b = append(b, "-node-"...)
-	if p.counter < 1000 {
+	for pad := 1000; pad > 1 && id < pad; pad /= 10 {
 		b = append(b, '0')
-		if p.counter < 100 {
-			b = append(b, '0')
-			if p.counter < 10 {
-				b = append(b, '0')
-			}
-		}
 	}
-	b = strconv.AppendInt(b, int64(p.counter), 10)
-	n := &Node{
-		ID:           string(b),
+	return strconv.AppendInt(b, int64(id), 10)
+}
+
+// initNode fills n as a node of req booting now, with defect/ECC rolls
+// applied.
+func (p *Provisioner) initNode(n *Node, id string, req ProvisionRequest, rng *sim.Stream) {
+	*n = Node{
+		ID:           id,
 		Type:         req.Type,
 		Zone:         "zone-a",
 		BootedAt:     p.sim.Now(),
@@ -259,7 +279,6 @@ func (p *Provisioner) newNode(req ProvisionRequest, rng *sim.Stream, idx int) *N
 	if req.Type.Provider == Azure && req.Type.GPUs > 0 && rng.Bernoulli(p.AzureECCOffProb) {
 		n.ECCEnabled = false
 	}
-	return n
 }
 
 // Teardown deletes a cluster and charges for its full lifetime. Calling it

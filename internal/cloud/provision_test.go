@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -263,5 +264,52 @@ func TestBootLatencyGrowsWithSize(t *testing.T) {
 	large := s.Now() - start
 	if large <= small {
 		t.Fatalf("256-node bring-up (%v) should take longer than 32-node (%v)", large, small)
+	}
+}
+
+// TestProvisionNodeIDs pins the node ID text ("%s-node-%04d" of the
+// provisioner's counter), also across a cluster whose IDs change width.
+func TestProvisionNodeIDs(t *testing.T) {
+	t.Parallel()
+	_, _, _, quota, prov, cat := harness(1)
+	it, _ := cat.Lookup(Google, "c2d-standard-112")
+	quota.Request(Google, CPU, 256)
+	for _, start := range []int{0, 9990} {
+		prov.counter = start
+		c, err := prov.Provision(ProvisionRequest{Env: "google-gke-cpu", Type: it, Nodes: 32, Kubernetes: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The cluster name takes the first counter value.
+		for i, n := range c.Nodes {
+			if want := fmt.Sprintf("google-gke-cpu-node-%04d", start+2+i); n.ID != want {
+				t.Fatalf("node %d ID = %q, want %q", i, n.ID, want)
+			}
+		}
+	}
+}
+
+// TestProvisionAllocs pins that a cluster's nodes cost a fixed number of
+// allocations however many there are: they share one slab, and their IDs
+// one string. Each measured run includes building the provisioner.
+func TestProvisionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	const maxGap = 8
+	provision := func(nodes int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			_, _, _, quota, prov, cat := harness(1)
+			it, _ := cat.Lookup(Google, "c2d-standard-112")
+			quota.Request(Google, CPU, 256)
+			if _, err := prov.Provision(ProvisionRequest{Env: "google-gke-cpu", Type: it, Nodes: nodes, Kubernetes: true}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := provision(32), provision(256)
+	t.Logf("Provision allocates %.0f at 32 nodes and %.0f at 256", small, large)
+	if large-small > maxGap {
+		t.Errorf("a 256-node Provision allocates %.0f more than a 32-node one, want <= %d", large-small, maxGap)
 	}
 }

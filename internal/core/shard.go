@@ -139,9 +139,6 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 			Hookups: make(map[string]map[int]time.Duration),
 		},
 	}
-	// Event capacity from the partition plan: a handful of events per run
-	// plus per-scale lifecycle chatter (provision, daemonsets, teardown).
-	log.Reserve(len(spec.Scales)*(len(st.Models)*st.Iterations*6+48) + 32)
 	return sh
 }
 

@@ -11,17 +11,6 @@ import (
 	"cloudhpc/internal/trace"
 )
 
-// jobEventName builds "<verb> job <id>" — the simulator event labels the
-// scheduler stamps on every deferred transition. One small allocation
-// instead of fmt's verb parse + boxing; the label bytes are unchanged.
-func jobEventName(verb string, id int) string {
-	var a [32]byte
-	b := append(a[:0], verb...)
-	b = append(b, " job "...)
-	b = strconv.AppendInt(b, int64(id), 10)
-	return string(b)
-}
-
 // Kind names a workload manager flavour.
 type Kind string
 
@@ -167,11 +156,19 @@ func (sc *Scheduler) Submit(j *Job) error {
 }
 
 // trySchedule starts queued jobs FIFO while nodes are available, then
-// optionally backfills around a blocked head.
+// optionally backfills around a blocked head. The started prefix is
+// copied out of the queue in place, so the backing array survives the
+// pop and the next Submit appends into it instead of allocating a new one.
 func (sc *Scheduler) trySchedule() {
-	for len(sc.queue) > 0 && sc.queue[0].Nodes <= sc.free {
-		sc.launch(sc.queue[0])
-		sc.queue = sc.queue[1:]
+	started := 0
+	for started < len(sc.queue) && sc.queue[started].Nodes <= sc.free {
+		sc.launch(sc.queue[started])
+		started++
+	}
+	if started > 0 {
+		n := copy(sc.queue, sc.queue[started:])
+		clear(sc.queue[n:])
+		sc.queue = sc.queue[:n]
 	}
 	if sc.cfg.Backfill && len(sc.queue) > 0 {
 		sc.backfill()
@@ -189,7 +186,7 @@ func (sc *Scheduler) launch(j *Job) {
 	}
 	j.estEnd = sc.sim.Now() + wait + j.WrapperTime()
 	sc.running[j.ID] = j
-	sc.sim.After(wait, jobEventName("start", j.ID), func() { sc.start(j) })
+	sc.sim.After(wait, func() { sc.start(j) })
 }
 
 // backfill starts later queued jobs that cannot delay the blocked head:
@@ -244,7 +241,7 @@ func (sc *Scheduler) start(j *Job) {
 		j.State = Stalled
 		sc.log.Addf(sc.sim.Now(), sc.cfg.Env, trace.Manual, trace.Unexpected,
 			"%s: job %d %q stalled at start; monitoring required", sc.cfg.Kind, j.ID, j.Name)
-		sc.sim.After(sc.cfg.StallNoticeDelay, jobEventName("kick", j.ID), func() {
+		sc.sim.After(sc.cfg.StallNoticeDelay, func() {
 			sc.log.Addf(sc.sim.Now(), sc.cfg.Env, trace.Manual, trace.Unexpected,
 				"%s: kicked stalled job %d", sc.cfg.Kind, j.ID)
 			sc.run(j)
@@ -266,7 +263,7 @@ func (sc *Scheduler) run(j *Job) {
 	if sc.cfg.BadNodeProb > 0 && sc.rng.Bernoulli(sc.cfg.BadNodeProb) {
 		// Job dies partway through on a bad node.
 		dur = time.Duration(sc.rng.Uniform(0.1, 0.9) * float64(dur))
-		sc.sim.After(dur, jobEventName("finish", j.ID), func() {
+		sc.sim.After(dur, func() {
 			sc.finish(j, fmt.Errorf("sched: job %d died on a bad node", j.ID), true)
 		})
 		return
@@ -274,13 +271,13 @@ func (sc *Scheduler) run(j *Job) {
 	if sc.faults != nil {
 		if frac, requeue, ok := sc.faults.JobFault(j.Name, j.Nodes, dur); ok {
 			cut := time.Duration(frac * float64(dur))
-			sc.sim.After(cut, jobEventName("finish", j.ID), func() {
+			sc.sim.After(cut, func() {
 				sc.finish(j, fmt.Errorf("%w: job %d %q", ErrPreempted, j.ID, j.Name), requeue)
 			})
 			return
 		}
 	}
-	sc.sim.After(dur, jobEventName("finish", j.ID), func() { sc.finish(j, nil, false) })
+	sc.sim.After(dur, func() { sc.finish(j, nil, false) })
 }
 
 // finish completes or fails a job, freeing nodes and — when requeue is

@@ -214,3 +214,33 @@ func TestDeterministicReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerAllocs pins what one job costs the scheduler from Submit
+// to completion: its submit trace line and the closures of its start and
+// finish transitions. The queue keeps its backing array across pops, and
+// simulator events carry no label.
+func TestSchedulerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	const ceiling = 3
+	const runs = 200
+	s, _, sc := newSched(1, Config{Kind: Flux, Env: "e", TotalNodes: 64})
+	jobs := make([]Job, runs+1) // AllocsPerRun makes one warm-up call
+	next := 0
+	got := testing.AllocsPerRun(runs, func() {
+		j := &jobs[next]
+		next++
+		j.Name, j.Nodes, j.Duration = "lammps", 32, time.Minute
+		if err := sc.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		s.Run()
+		if j.State != Completed {
+			t.Fatalf("job %d ended %v, want completed", j.ID, j.State)
+		}
+	})
+	if got > ceiling {
+		t.Errorf("one job allocates %.0f from Submit to completion, want <= %d", got, ceiling)
+	}
+}

@@ -7,11 +7,11 @@ import (
 
 // Event is a unit of scheduled work in the simulation. Fn runs when the
 // clock reaches At. Events at the same virtual time run in the order they
-// were scheduled (FIFO), which keeps simulations deterministic.
+// were scheduled (FIFO), which keeps simulations deterministic. An event
+// carries no label, so scheduling one builds no string.
 type Event struct {
-	At   time.Duration
-	Name string
-	Fn   func()
+	At time.Duration
+	Fn func()
 
 	seq int // tie-breaker: insertion order
 }
@@ -50,7 +50,7 @@ type EventQueue struct {
 }
 
 // Schedule enqueues fn to run at virtual time at.
-func (q *EventQueue) Schedule(at time.Duration, name string, fn func()) {
+func (q *EventQueue) Schedule(at time.Duration, fn func()) {
 	q.seq++
 	var e *Event
 	if n := len(q.free); n > 0 {
@@ -58,7 +58,7 @@ func (q *EventQueue) Schedule(at time.Duration, name string, fn func()) {
 	} else {
 		e = new(Event)
 	}
-	*e = Event{At: at, Name: name, Fn: fn, seq: q.seq}
+	*e = Event{At: at, Fn: fn, seq: q.seq}
 	heap.Push(&q.h, e)
 }
 

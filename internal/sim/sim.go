@@ -37,8 +37,8 @@ func (s *Simulation) Stream(name string) *Stream {
 func (s *Simulation) Now() time.Duration { return s.Clock.Now() }
 
 // After schedules fn to run d after the current virtual time.
-func (s *Simulation) After(d time.Duration, name string, fn func()) {
-	s.Queue.Schedule(s.Clock.Now()+d, name, fn)
+func (s *Simulation) After(d time.Duration, fn func()) {
+	s.Queue.Schedule(s.Clock.Now()+d, fn)
 }
 
 // Step runs the single next event, advancing the clock to it.

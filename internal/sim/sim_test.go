@@ -54,9 +54,9 @@ func TestEventQueueOrdering(t *testing.T) {
 	t.Parallel()
 	var q EventQueue
 	var got []string
-	q.Schedule(3*time.Second, "c", func() { got = append(got, "c") })
-	q.Schedule(1*time.Second, "a", func() { got = append(got, "a") })
-	q.Schedule(2*time.Second, "b", func() { got = append(got, "b") })
+	q.Schedule(3*time.Second, func() { got = append(got, "c") })
+	q.Schedule(1*time.Second, func() { got = append(got, "a") })
+	q.Schedule(2*time.Second, func() { got = append(got, "b") })
 	for {
 		e := q.Pop()
 		if e == nil {
@@ -78,7 +78,7 @@ func TestEventQueueFIFOTieBreak(t *testing.T) {
 	var got []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		q.Schedule(time.Second, name, func() { got = append(got, name) })
+		q.Schedule(time.Second, func() { got = append(got, name) })
 	}
 	for e := q.Pop(); e != nil; e = q.Pop() {
 		e.Fn()
@@ -92,11 +92,11 @@ func TestSimulationRun(t *testing.T) {
 	t.Parallel()
 	s := New(42)
 	var fired []time.Duration
-	s.After(2*time.Second, "later", func() { fired = append(fired, s.Now()) })
-	s.After(1*time.Second, "sooner", func() {
+	s.After(2*time.Second, func() { fired = append(fired, s.Now()) })
+	s.After(1*time.Second, func() {
 		fired = append(fired, s.Now())
 		// Events may schedule further events.
-		s.After(3*time.Second, "nested", func() { fired = append(fired, s.Now()) })
+		s.After(3*time.Second, func() { fired = append(fired, s.Now()) })
 	})
 	n := s.Run()
 	if n != 3 {
@@ -114,8 +114,8 @@ func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	t.Parallel()
 	s := New(1)
 	ran := 0
-	s.After(1*time.Second, "in", func() { ran++ })
-	s.After(10*time.Second, "out", func() { ran++ })
+	s.After(1*time.Second, func() { ran++ })
+	s.After(10*time.Second, func() { ran++ })
 	n := s.RunUntil(5 * time.Second)
 	if n != 1 || ran != 1 {
 		t.Fatalf("RunUntil ran %d (cb %d), want 1", n, ran)

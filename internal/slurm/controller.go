@@ -138,7 +138,7 @@ func (c *Controller) schedule() {
 				timedOut = true
 			}
 			job := j
-			c.sim.After(dur, fmt.Sprintf("slurm job %d ends", j.ID), func() {
+			c.sim.After(dur, func() {
 				c.finish(job, timedOut)
 			})
 			continue

@@ -2,11 +2,15 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -164,7 +168,7 @@ func (s *Disk) appendRefsLocked(e refJournalEntry) error {
 // atomicWrite writes data to path via a temp file + rename in the same
 // directory, so readers never observe a partial file.
 func (s *Disk) atomicWrite(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
+	tmp, err := createTemp(filepath.Dir(path))
 	if err != nil {
 		return fmt.Errorf("store: temp file: %w", err)
 	}
@@ -183,6 +187,20 @@ func (s *Disk) atomicWrite(path string, data []byte) error {
 		return fmt.Errorf("store: renaming into %s: %w", path, err)
 	}
 	return nil
+}
+
+// createTemp creates a new, uniquely named "tmp-" file in dir. It is
+// opened O_EXCL with mode 0o644, the mode refs.jsonl is created with, so
+// the umask shapes blobs and the journal alike: a uid that can read a
+// store's journal can read its blobs too. (os.CreateTemp creates 0600.)
+func createTemp(dir string) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := filepath.Join(dir, "tmp-"+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+		if err == nil || !errors.Is(err, fs.ErrExist) || try == 100 {
+			return f, err
+		}
+	}
 }
 
 // Put implements BlobStore. A duplicate Put verifies the existing file

@@ -247,6 +247,38 @@ func TestDiskJournalEveryTornAppend(t *testing.T) {
 // file and directory keeps its path, size, mtime and bytes — even with a
 // ref whose blob is gone, an orphan blob and a torn journal tail for
 // Open to make sense of — and no file appears or disappears.
+// TestDiskBlobModeMatchesJournal pins that blobs get the journal's
+// permission bits, so a reader that can list a store's refs can also
+// read the blobs they name. Both are created 0o644 under the process
+// umask; under a umask of 077 both are 0600 and the test cannot tell.
+func TestDiskBlobModeMatchesJournal(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := s.Put([]byte("shared"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetRef("study/shared", d); err != nil {
+		t.Fatal(err)
+	}
+	h, _ := parseDigest(d)
+	blob, err := os.Stat(filepath.Join(dir, "blobs", h))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.Stat(filepath.Join(dir, "refs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if blob.Mode().Perm() != journal.Mode().Perm() {
+		t.Fatalf("blob mode %v, refs.jsonl mode %v: want equal", blob.Mode().Perm(), journal.Mode().Perm())
+	}
+}
+
 func TestDiskOpenWritesNothing(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()

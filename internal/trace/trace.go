@@ -121,8 +121,9 @@ func (l *Log) AppendShifted(src *Log, shift time.Duration) {
 }
 
 // Reserve grows the log's capacity so at least n more events can be added
-// without reallocating. Shard executors call it with the partition plan's
-// event estimate before the inner loop starts.
+// without reallocating. The study merge calls it with the exact event
+// total of its shards; a shard's own log grows by append, since no
+// estimate made before a shard runs comes close to what it records.
 func (l *Log) Reserve(n int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
