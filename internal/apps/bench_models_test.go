@@ -150,9 +150,9 @@ func TestStreamGPUTriadTight(t *testing.T) {
 func TestSingleNodeCollectAndAudit(t *testing.T) {
 	it := cloud.InstanceType{Name: "HB96rs v3", Provider: cloud.Azure, Processor: "AMD EPYC 7003", Cores: 96, ClockGHz: 3.5}
 	nodes := []*cloud.Node{
-		{ID: "n1", Type: it, VisibleCores: 96, VisibleGPUs: 0, Healthy: true},
-		{ID: "n2", Type: it, VisibleCores: 2, VisibleGPUs: 0, Healthy: true}, // supermarket fish
-		{ID: "n3", Type: it, VisibleCores: 96, VisibleGPUs: 0, Healthy: true},
+		{ID: "n1", Type: &it, VisibleCores: 96, VisibleGPUs: 0, Healthy: true},
+		{ID: "n2", Type: &it, VisibleCores: 2, VisibleGPUs: 0, Healthy: true}, // supermarket fish
+		{ID: "n3", Type: &it, VisibleCores: 96, VisibleGPUs: 0, Healthy: true},
 	}
 	rng := sim.NewStream(1, "inv")
 	var reports []Report

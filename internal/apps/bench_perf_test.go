@@ -63,7 +63,7 @@ func BenchmarkECCAuditFleet(b *testing.B) {
 
 func BenchmarkCollectInventory(b *testing.B) {
 	it := cloud.InstanceType{Name: "HB96rs v3", Provider: cloud.Azure, Cores: 96, ClockGHz: 3.5}
-	n := &cloud.Node{ID: "n", Type: it, VisibleCores: 96, Healthy: true}
+	n := &cloud.Node{ID: "n", Type: &it, VisibleCores: 96, Healthy: true}
 	rng := sim.NewStream(1, "bench/inv")
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -102,14 +102,14 @@ func TestV100MemoryVariants(t *testing.T) {
 func TestNodeDefectPredicates(t *testing.T) {
 	t.Parallel()
 	it := InstanceType{GPUs: 8, Cores: 48}
-	n := Node{Type: it, VisibleGPUs: 7, VisibleCores: 48}
+	n := Node{Type: &it, VisibleGPUs: 7, VisibleCores: 48}
 	if !n.DefectiveGPU() {
 		t.Fatalf("7/8 GPUs should be defective")
 	}
 	if n.DefectiveCPU() {
 		t.Fatalf("full cores should not be defective")
 	}
-	fish := Node{Type: it, VisibleGPUs: 8, VisibleCores: 2}
+	fish := Node{Type: &it, VisibleGPUs: 8, VisibleCores: 2}
 	if !fish.DefectiveCPU() {
 		t.Fatalf("2/48 cores should be defective")
 	}
@@ -120,7 +120,7 @@ func TestClusterAggregates(t *testing.T) {
 	it := InstanceType{GPUs: 8, Cores: 48}
 	c := Cluster{Type: it}
 	for i := 0; i < 4; i++ {
-		c.Nodes = append(c.Nodes, &Node{Type: it, VisibleGPUs: 8, VisibleCores: 48, Healthy: true})
+		c.Nodes = append(c.Nodes, &Node{Type: &c.Type, VisibleGPUs: 8, VisibleCores: 48, Healthy: true})
 	}
 	c.Nodes[2].VisibleGPUs = 7
 	if c.TotalGPUs() != 31 {

@@ -189,7 +189,7 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 		from := ids.Len()
 		p.counter++
 		ids.Write(appendNodeID(idBuf[:0], req.Env, p.counter))
-		p.initNode(&slab[i], ids.String()[from:], req, rng)
+		p.initNode(&slab[i], ids.String()[from:], &c.Type, rng)
 		c.Nodes[i] = &slab[i]
 	}
 
@@ -210,7 +210,7 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 			return nil, fmt.Errorf("%w: defective GPU node and no spare quota", ErrProvisionFailed)
 		}
 		// Bring up a 33rd node and drop the defective one.
-		replacement := p.newNode(req, rng)
+		replacement := p.newNode(req.Env, &c.Type, rng)
 		for i, n := range c.Nodes {
 			if n == bad {
 				c.Nodes[i] = replacement
@@ -238,11 +238,11 @@ func (p *Provisioner) Provision(req ProvisionRequest) (*Cluster, error) {
 
 // newNode constructs one node with defect/ECC rolls applied; the spare
 // node of a defective bring-up takes this path.
-func (p *Provisioner) newNode(req ProvisionRequest, rng *sim.Stream) *Node {
+func (p *Provisioner) newNode(env string, it *InstanceType, rng *sim.Stream) *Node {
 	p.counter++
 	var a [48]byte
 	n := new(Node)
-	p.initNode(n, string(appendNodeID(a[:0], req.Env, p.counter)), req, rng)
+	p.initNode(n, string(appendNodeID(a[:0], env, p.counter)), it, rng)
 	return n
 }
 
@@ -257,26 +257,26 @@ func appendNodeID(b []byte, env string, id int) []byte {
 	return strconv.AppendInt(b, int64(id), 10)
 }
 
-// initNode fills n as a node of req booting now, with defect/ECC rolls
-// applied.
-func (p *Provisioner) initNode(n *Node, id string, req ProvisionRequest, rng *sim.Stream) {
+// initNode fills n as a node of SKU it booting now, with defect/ECC
+// rolls applied. it is the cluster's own Type, which the node points at.
+func (p *Provisioner) initNode(n *Node, id string, it *InstanceType, rng *sim.Stream) {
 	*n = Node{
 		ID:           id,
-		Type:         req.Type,
+		Type:         it,
 		Zone:         "zone-a",
 		BootedAt:     p.sim.Now(),
-		VisibleGPUs:  req.Type.GPUs,
-		VisibleCores: req.Type.Cores,
+		VisibleGPUs:  it.GPUs,
+		VisibleCores: it.Cores,
 		ECCEnabled:   true,
 		Healthy:      true,
 	}
-	if req.Type.Provider == Azure {
+	if it.Provider == Azure {
 		p.azureNodes++
 		if p.FishEveryN > 0 && p.azureNodes%p.FishEveryN == 0 {
 			n.VisibleCores = 2 // the supermarket fish problem
 		}
 	}
-	if req.Type.Provider == Azure && req.Type.GPUs > 0 && rng.Bernoulli(p.AzureECCOffProb) {
+	if it.Provider == Azure && it.GPUs > 0 && rng.Bernoulli(p.AzureECCOffProb) {
 		n.ECCEnabled = false
 	}
 }

@@ -3,6 +3,7 @@ package cloud
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -289,6 +290,20 @@ func TestProvisionNodeIDs(t *testing.T) {
 	}
 }
 
+// provisionRun returns one measured run of the provisioning ceilings:
+// build the provisioner, then bring up a GKE CPU cluster of the given
+// size.
+func provisionRun(t *testing.T, nodes int) func() {
+	return func() {
+		_, _, _, quota, prov, cat := harness(1)
+		it, _ := cat.Lookup(Google, "c2d-standard-112")
+		quota.Request(Google, CPU, 256)
+		if _, err := prov.Provision(ProvisionRequest{Env: "google-gke-cpu", Type: it, Nodes: nodes, Kubernetes: true}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestProvisionAllocs pins that a cluster's nodes cost a fixed number of
 // allocations however many there are: they share one slab, and their IDs
 // one string. Each measured run includes building the provisioner.
@@ -297,19 +312,40 @@ func TestProvisionAllocs(t *testing.T) {
 		t.Skip("alloc counts are off under -race")
 	}
 	const maxGap = 8
-	provision := func(nodes int) float64 {
-		return testing.AllocsPerRun(20, func() {
-			_, _, _, quota, prov, cat := harness(1)
-			it, _ := cat.Lookup(Google, "c2d-standard-112")
-			quota.Request(Google, CPU, 256)
-			if _, err := prov.Provision(ProvisionRequest{Env: "google-gke-cpu", Type: it, Nodes: nodes, Kubernetes: true}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-	small, large := provision(32), provision(256)
+	small, large := testing.AllocsPerRun(20, provisionRun(t, 32)), testing.AllocsPerRun(20, provisionRun(t, 256))
 	t.Logf("Provision allocates %.0f at 32 nodes and %.0f at 256", small, large)
 	if large-small > maxGap {
 		t.Errorf("a 256-node Provision allocates %.0f more than a 32-node one, want <= %d", large-small, maxGap)
 	}
+}
+
+// TestProvisionAllocsBytes pins what one more node costs in bytes: its
+// slab entry, its slot in Cluster.Nodes and its ID. A node points at
+// the cluster's SKU instead of holding a copy, which kept 128 more bytes
+// per node.
+func TestProvisionAllocsBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	const maxPerNode = 128
+	small, large := bytesPerRun(20, provisionRun(t, 32)), bytesPerRun(20, provisionRun(t, 256))
+	perNode := (large - small) / (256 - 32)
+	t.Logf("Provision allocates %.0f bytes at 32 nodes and %.0f at 256: %.0f per node", small, large, perNode)
+	if perNode > maxPerNode {
+		t.Errorf("each node past 32 allocates %.0f bytes, want <= %d", perNode, maxPerNode)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

@@ -65,10 +65,11 @@ type InstanceType struct {
 // String returns "provider/name".
 func (it InstanceType) String() string { return fmt.Sprintf("%s/%s", it.Provider, it.Name) }
 
-// Node is a provisioned instance.
+// Node is a provisioned instance. Type points at the SKU its cluster
+// was provisioned with (Cluster.Type), so a node does not carry a copy.
 type Node struct {
 	ID       string
-	Type     InstanceType
+	Type     *InstanceType
 	Zone     string
 	BootedAt time.Duration
 

@@ -321,7 +321,6 @@ func decodeStudy(r *ResolvedSpec, key string, files map[string][]byte) (*Results
 	}
 	var (
 		wg         sync.WaitGroup
-		recs       []dataset.Record
 		lg         *trace.Log
 		chargeRecs []cloud.ChargeRecord
 		traceErr   error
@@ -336,15 +335,15 @@ func decodeStudy(r *ResolvedSpec, key string, files map[string][]byte) (*Results
 		defer wg.Done()
 		chargeRecs, meterErr = cloud.UnmarshalCharges(files["meter.jsonl"])
 	}()
-	recs, runsErr := dataset.UnmarshalJSONL(files["runs.jsonl"])
+	runs, runsErr := decodeRuns(files["runs.jsonl"])
 	wg.Wait()
 	for _, err := range []error{runsErr, traceErr, meterErr} {
 		if err != nil {
 			return nil, err
 		}
 	}
-	if len(recs) != meta.Runs {
-		return nil, fmt.Errorf("bundle holds %d runs, metadata says %d", len(recs), meta.Runs)
+	if len(runs) != meta.Runs {
+		return nil, fmt.Errorf("bundle holds %d runs, metadata says %d", len(runs), meta.Runs)
 	}
 
 	s := sim.New(meta.Seed)
@@ -356,7 +355,7 @@ func decodeStudy(r *ResolvedSpec, key string, files map[string][]byte) (*Results
 	meter.RestoreCharges(chargeRecs)
 
 	res := &Results{
-		Runs: make([]RunRecord, 0, len(recs)),
+		Runs: runs,
 		Log:  lg, Meter: meter, Envs: r.Envs,
 		ECCOn: meta.ECCOn, Hookups: meta.Hookups,
 		Findings: meta.Findings, Incidents: meta.Incidents, Recovery: meta.Recovery,
@@ -368,10 +367,25 @@ func decodeStudy(r *ResolvedSpec, key string, files map[string][]byte) (*Results
 	if res.Hookups == nil {
 		res.Hookups = make(map[string]map[int]time.Duration)
 	}
-	for _, rec := range recs {
-		res.Runs = append(res.Runs, runFromRecord(rec))
-	}
 	return res, nil
+}
+
+// decodeRuns decodes a bundle's runs.jsonl through a cursor straight
+// into run records, as decodeUnitPlan does for units, with no
+// intermediate record slice.
+func decodeRuns(data []byte) ([]RunRecord, error) {
+	runs := make([]RunRecord, 0, jsonl.Lines(data))
+	cur := jsonl.NewDecoder[dataset.Record]("dataset", data)
+	for {
+		rec, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return runs, nil
+		}
+		runs = append(runs, runFromRecord(rec))
+	}
 }
 
 // UnitKey computes the sub-hash one (env, app) unit is stored under: a

@@ -46,7 +46,8 @@ func (r *Results) FigureFor(app string, acc cloud.Accelerator) (*metrics.Figure,
 		x   float64
 	}
 	samples := make(map[cell][]float64)
-	for _, rec := range r.Runs {
+	for i := range r.Runs {
+		rec := &r.Runs[i]
 		if rec.App != app || rec.Err != nil {
 			continue
 		}
@@ -95,8 +96,8 @@ type CostRow struct {
 // (no instance billing).
 func (r *Results) Table4() []CostRow {
 	totals := map[string]float64{}
-	for _, rec := range r.Runs {
-		if rec.App == "amg2023" && rec.Err == nil {
+	for i := range r.Runs {
+		if rec := &r.Runs[i]; rec.App == "amg2023" && rec.Err == nil {
 			totals[rec.EnvKey] += rec.CostUSD
 		}
 	}
@@ -159,7 +160,8 @@ func (r *Results) StudyCosts() map[cloud.Provider]float64 {
 // results (Laghos timeouts and segfaults, Quicksilver GPU, MiniFE output).
 func (r *Results) FailureSummary() map[string]map[string]int {
 	out := map[string]map[string]int{}
-	for _, rec := range r.Runs {
+	for i := range r.Runs {
+		rec := &r.Runs[i]
 		if rec.Err == nil {
 			continue
 		}

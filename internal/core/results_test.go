@@ -2,10 +2,13 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/cloud"
+	"cloudhpc/internal/trace"
+	"cloudhpc/internal/usability"
 )
 
 // These tests pin Results.FigureFor — the figure-aggregation hot path —
@@ -124,5 +127,75 @@ func TestFigureForAllErrorRuns(t *testing.T) {
 	}
 	if s := fig.Get("azure-aks-gpu"); len(s.Points) != 0 {
 		t.Fatalf("all-error series has %d points, want 0", len(s.Points))
+	}
+}
+
+// TestTable3MatchesPerEnvFilter pins the one-pass Table 3 scorer against
+// the per-environment definition it replaced: for every deployable
+// environment of the seed-2025 study, clean and with the default chaos
+// plan, each category's score and evidence are what that environment's
+// own events (Log.ByEnv), filtered to the category, give.
+func TestTable3MatchesPerEnvFilter(t *testing.T) {
+	t.Parallel()
+	threshold := usability.NewScorer().UnexpectedHighThreshold
+	for _, chaosRef := range []string{"", "default"} {
+		res, err := (&Runner{}).Run(context.Background(), &StudySpec{Seed: 2025, Chaos: chaosRef})
+		if err != nil {
+			t.Fatal(err)
+		}
+		table := res.Table3()
+		envs := apps.Deployable(res.Envs)
+		if len(table) != len(envs) {
+			t.Fatalf("chaos %q: Table 3 has %d rows, want %d", chaosRef, len(table), len(envs))
+		}
+		scored := map[usability.Effort]int{}
+		for i, spec := range envs {
+			a := table[i]
+			if a.Env != spec.Key {
+				t.Fatalf("chaos %q: row %d is %s, want %s", chaosRef, i, a.Env, spec.Key)
+			}
+			events := res.Log.ByEnv(spec.Key)
+			withEvidence := 0
+			for _, cat := range usability.Categories {
+				var unexpected, blocking int
+				var evidence []trace.Event
+				for _, e := range events {
+					if e.Category != cat {
+						continue
+					}
+					switch e.Severity {
+					case trace.Unexpected:
+						unexpected++
+						evidence = append(evidence, e)
+					case trace.Blocking:
+						blocking++
+						evidence = append(evidence, e)
+					}
+				}
+				want := usability.Low
+				switch {
+				case blocking > 0 || unexpected >= threshold:
+					want = usability.High
+				case unexpected > 0:
+					want = usability.Medium
+				}
+				if a.Scores[cat] != want {
+					t.Errorf("chaos %q: %s %s scored %v, want %v", chaosRef, spec.Key, cat, a.Scores[cat], want)
+				}
+				if !reflect.DeepEqual(a.Evidence[cat], evidence) {
+					t.Errorf("chaos %q: %s %s evidence has %d events, want the %d of its filter in log order", chaosRef, spec.Key, cat, len(a.Evidence[cat]), len(evidence))
+				}
+				if len(evidence) > 0 {
+					withEvidence++
+				}
+				scored[want]++
+			}
+			if len(a.Evidence) != withEvidence {
+				t.Errorf("chaos %q: %s has evidence under %d categories, want %d", chaosRef, spec.Key, len(a.Evidence), withEvidence)
+			}
+		}
+		if scored[usability.Medium] == 0 || scored[usability.High] == 0 {
+			t.Fatalf("chaos %q: scores %v do not exercise every rubric branch", chaosRef, scored)
+		}
 	}
 }

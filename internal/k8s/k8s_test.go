@@ -16,7 +16,7 @@ func nodesOf(p cloud.Provider, n, gpus int) *cloud.Cluster {
 	for i := 0; i < n; i++ {
 		c.Nodes = append(c.Nodes, &cloud.Node{
 			ID:   fmt.Sprintf("%s-node-%04d", p, i),
-			Type: it, VisibleCores: it.Cores, VisibleGPUs: gpus, Healthy: true,
+			Type: &c.Type, VisibleCores: it.Cores, VisibleGPUs: gpus, Healthy: true,
 		})
 	}
 	return c

@@ -2,6 +2,7 @@ package report
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -67,4 +68,41 @@ func TestMarkdownAllocs(t *testing.T) {
 	if got > ceiling {
 		t.Errorf("Markdown on seed 2025 allocates %.0f/op, want <= %d", got, ceiling)
 	}
+}
+
+// TestMarkdownAllocsBytes pins the render's bytes on the canonical
+// study. Table 3 is scored in one pass over the trace; copying each
+// environment's events out of the log first cost about 660 KB a render.
+func TestMarkdownAllocsBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(2025))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 400 << 10
+	got := bytesPerRun(5, func() {
+		if _, err := Markdown(res); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Markdown on seed 2025 allocates %.0f bytes/op", got)
+	if got > ceiling {
+		t.Errorf("Markdown on seed 2025 allocates %.0f bytes/op, want <= %d", got, ceiling)
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one call
+// of f allocates, averaged over runs calls after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }

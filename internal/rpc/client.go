@@ -74,11 +74,14 @@ func (c *Client) postBody(ctx context.Context, body []byte) (io.ReadCloser, erro
 	return resp.Body, nil
 }
 
-// newLineScanner builds the protocol's standard line scanner: NDJSON
-// lines up to the framing cap.
+// newLineScanner builds the protocol's line scanner, for the server's
+// request lines and the client's response lines alike: NDJSON lines up
+// to the framing cap. It starts from bufio's 4 KiB first read and grows
+// only when a line needs more, so a POST of short lines allocates no
+// large buffer.
 func newLineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc.Buffer(nil, maxLineBytes)
 	return sc
 }
 

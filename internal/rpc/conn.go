@@ -64,10 +64,12 @@ func (s *Server) newConn(w io.Writer, initialized bool) *conn {
 	}
 }
 
-// writeLine marshals one message and writes it as one flushed line.
-// Every writer on the connection — the request loop and each forwarder —
-// serialises through writeMu, so lines never interleave.
-func (c *conn) writeLine(v any) error {
+// writeLine marshals one message and writes it as one line. Every
+// writer on the connection — the request loop and each forwarder —
+// serialises through writeMu, so lines never interleave. flush pushes
+// the line, and any lines buffered before it, to the peer: replies
+// always flush, and forward flushes once per burst of events.
+func (c *conn) writeLine(v any, flush bool) error {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return err
@@ -85,12 +87,15 @@ func (c *conn) writeLine(v any) error {
 		c.closed.Store(true)
 		return err
 	}
+	if !flush {
+		return nil
+	}
 	if err := c.bw.Flush(); err != nil {
 		c.closed.Store(true)
 		return err
 	}
-	// Streamed HTTP responses must reach the client per line, not per
-	// buffer: push the transport's own flush when it has one
+	// A streamed HTTP response reaches the client only when the
+	// transport flushes too: push its own flush when it has one
 	// (http.Flusher; bufio.Writer's error-returning Flush doesn't match).
 	if f, ok := c.dst.(interface{ Flush() }); ok {
 		f.Flush()
@@ -104,10 +109,10 @@ func (c *conn) reply(id json.RawMessage, result any, rpcErr *Error) {
 		return
 	}
 	if rpcErr != nil {
-		c.writeLine(response{JSONRPC: "2.0", ID: id, Error: rpcErr})
+		c.writeLine(response{JSONRPC: "2.0", ID: id, Error: rpcErr}, true)
 		return
 	}
-	c.writeLine(response{JSONRPC: "2.0", ID: id, Result: result})
+	c.writeLine(response{JSONRPC: "2.0", ID: id, Result: result}, true)
 }
 
 // ServeConn speaks the line protocol over one reader/writer pair until
@@ -136,8 +141,7 @@ func (c *conn) serve(ctx context.Context, r io.Reader) error {
 		}
 	}()
 
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
+	sc := newLineScanner(r)
 	closing := false
 	for !closing && sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
@@ -150,7 +154,7 @@ func (c *conn) serve(ctx context.Context, r io.Reader) error {
 	if errors.Is(err, bufio.ErrTooLong) {
 		// The framing bound is a protocol error, not a transport failure:
 		// report it on the wire (the line cannot be parsed, so no id).
-		c.writeLine(response{JSONRPC: "2.0", Error: errf(CodeParse, "line exceeds %d bytes", maxLineBytes)})
+		c.writeLine(response{JSONRPC: "2.0", Error: errf(CodeParse, "line exceeds %d bytes", maxLineBytes)}, true)
 	}
 	if !closing && !c.streamTail {
 		c.teardown()
@@ -188,7 +192,7 @@ func (c *conn) teardown() {
 func (c *conn) handleLine(line []byte) (closing bool) {
 	var req request
 	if err := json.Unmarshal(line, &req); err != nil {
-		c.writeLine(response{JSONRPC: "2.0", Error: errf(CodeParse, "parse error: %v", err)})
+		c.writeLine(response{JSONRPC: "2.0", Error: errf(CodeParse, "parse error: %v", err)}, true)
 		return false
 	}
 	if req.JSONRPC != "2.0" || req.Method == "" {
@@ -352,7 +356,10 @@ func (c *conn) subscribe(raw json.RawMessage) (any, *Error, func()) {
 
 // forward pumps one subscription's events onto the wire as study.event
 // notifications until the stream closes (session end or unsubscribe) or
-// the connection dies.
+// the connection dies. It flushes when the subscription has nothing
+// more queued, so a replay or a burst of events goes out in one write.
+// No line waits for a later event: only the forwarder receives from the
+// queue, so a non-empty queue means the next event is already there.
 func (c *conn) forward(ss *studySession, sub *core.Subscription) {
 	defer c.wg.Done()
 	defer func() {
@@ -363,7 +370,8 @@ func (c *conn) forward(ss *studySession, sub *core.Subscription) {
 		c.mu.Unlock()
 	}()
 	for ev := range sub.Events {
-		if err := c.writeLine(notification{JSONRPC: "2.0", Method: "study.event", Params: wireEvent(ss.id, ev)}); err != nil {
+		note := notification{JSONRPC: "2.0", Method: "study.event", Params: wireEvent(ss.id, ev)}
+		if err := c.writeLine(note, len(sub.Events) == 0); err != nil {
 			sub.Close()
 			return
 		}

@@ -11,7 +11,9 @@ import (
 //	               lines streamed back as application/x-ndjson. A POST
 //	               carrying a study.subscribe keeps its response open
 //	               until the subscribed sessions end — the streaming
-//	               transport — and each line is flushed as it is written.
+//	               transport. Each reply is flushed as it is written;
+//	               event lines are flushed per burst, as soon as nothing
+//	               more is queued for the subscription.
 //	GET  /healthz  structured health report (Health as JSON): session
 //	               tallies, store presence, and — with a fleet attached —
 //	               the lease-table counters. Always HTTP 200 so probes

@@ -13,6 +13,7 @@ package usability
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -68,46 +69,55 @@ func NewScorer() *Scorer { return &Scorer{UnexpectedHighThreshold: 12} }
 
 // Score assesses one environment from the log.
 func (s *Scorer) Score(log *trace.Log, env string) Assessment {
-	a := Assessment{
-		Env:      env,
-		Scores:   make(map[trace.Category]Effort, len(Categories)),
-		Evidence: make(map[trace.Category][]trace.Event),
-	}
-	events := log.ByEnv(env)
-	for _, cat := range Categories {
-		var unexpected, blocking int
-		for _, e := range events {
-			if e.Category != cat {
-				continue
-			}
-			switch e.Severity {
-			case trace.Unexpected:
-				unexpected++
-				a.Evidence[cat] = append(a.Evidence[cat], e)
-			case trace.Blocking:
-				blocking++
-				a.Evidence[cat] = append(a.Evidence[cat], e)
-			}
-		}
-		switch {
-		case blocking > 0 || unexpected >= s.UnexpectedHighThreshold:
-			a.Scores[cat] = High
-		case unexpected > 0:
-			a.Scores[cat] = Medium
-		default:
-			a.Scores[cat] = Low
-		}
-	}
-	return a
+	return s.ScoreAll(log, []string{env})[0]
 }
 
-// ScoreAll assesses the given environments, preserving their order.
+// ScoreAll assesses the given environments, preserving their order, in
+// one pass over the log: each unexpected or blocking event of an
+// assessed category becomes evidence in its environment's row, in log
+// order, and each category is scored from its evidence.
 func (s *Scorer) ScoreAll(log *trace.Log, envs []string) []Assessment {
-	out := make([]Assessment, 0, len(envs))
-	for _, env := range envs {
-		out = append(out, s.Score(log, env))
+	out := make([]Assessment, len(envs))
+	rows := make(map[string][]int, len(envs)) // an env listed twice gets two rows
+	for i, env := range envs {
+		out[i] = Assessment{
+			Env:      env,
+			Scores:   make(map[trace.Category]Effort, len(Categories)),
+			Evidence: make(map[trace.Category][]trace.Event),
+		}
+		rows[env] = append(rows[env], i)
+	}
+	log.All(func(e trace.Event) bool {
+		if (e.Severity == trace.Unexpected || e.Severity == trace.Blocking) && slices.Contains(Categories, e.Category) {
+			for _, i := range rows[e.Env] {
+				out[i].Evidence[e.Category] = append(out[i].Evidence[e.Category], e)
+			}
+		}
+		return true
+	})
+	for _, a := range out {
+		for _, cat := range Categories {
+			a.Scores[cat] = s.effort(a.Evidence[cat])
+		}
 	}
 	return out
+}
+
+// effort scores one category from its evidence by the rubric.
+func (s *Scorer) effort(evidence []trace.Event) Effort {
+	for _, e := range evidence {
+		if e.Severity == trace.Blocking {
+			return High
+		}
+	}
+	switch {
+	case len(evidence) >= s.UnexpectedHighThreshold:
+		return High
+	case len(evidence) > 0:
+		return Medium
+	default:
+		return Low
+	}
 }
 
 // Table renders assessments as an aligned text table in Table 3's layout.
