@@ -85,7 +85,7 @@ func (sh *shard) unitWork(key string, app string) UnitWork {
 		Scales:     sh.spec.Scales,
 		App:        app,
 		Iterations: sh.iterations,
-		Chaos:      unitChaosText(sh.opts.Chaos, sh.spec.Key),
+		Chaos:      sh.unitChaos,
 	}
 }
 
@@ -135,11 +135,10 @@ func ComputeUnitFiles(w UnitWork) (map[string][]byte, error) {
 		return nil, err
 	}
 	u := planUnit(w.Seed, env, models[0], w.Iterations, network.NewHookupModel())
-	meta := dataset.UnitMeta{
+	return unitFiles(dataset.UnitMeta{
 		Version: storeSchemaVersion, Key: w.Key, Seed: w.Seed,
 		Env: w.Env, App: w.App, Iterations: w.Iterations,
-	}
-	return dataset.MarshalUnit(meta, unitRecords(w.Env, w.App, u))
+	}, u)
 }
 
 // AcceptUnit is the coordinator-side verification gate for one pushed

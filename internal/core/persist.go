@@ -31,12 +31,12 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,8 +72,8 @@ func (r RunRecord) Record() dataset.Record {
 }
 
 // Records converts the dataset's run list to archived form, in run
-// order. cmd/archive pushes these through dataset.Push; the persistent
-// store bundles them into study artifacts.
+// order, for cmd/archive to push through dataset.Push. The persistent
+// store encodes its bundles straight from r.Runs instead.
 func (r *Results) Records() []dataset.Record {
 	out := make([]dataset.Record, len(r.Runs))
 	for i, run := range r.Runs {
@@ -210,7 +210,8 @@ type studyMeta struct {
 // same blobs. The four bundle files encode concurrently — they read
 // disjoint, by-now-immutable parts of the results (runs, trace, ledger,
 // metadata), so the encodes are independent and the bundle bytes are
-// identical to a serial encode.
+// identical to a serial encode. The runs and the trace encode line by
+// line from the live records, with no staged copy of either.
 func (rs *ResultStore) SaveStudy(r *ResolvedSpec, res *Results) error {
 	key := r.Hash()
 	var (
@@ -221,7 +222,10 @@ func (rs *ResultStore) SaveStudy(r *ResolvedSpec, res *Results) error {
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		runs, runsErr = dataset.MarshalJSONL(res.Records())
+		runs, runsErr = jsonl.MarshalEach(len(res.Runs), func(b []byte, i int) ([]byte, error) {
+			rec := res.Runs[i].Record()
+			return rec.AppendJSONL(b)
+		})
 	}()
 	go func() {
 		defer wg.Done()
@@ -405,32 +409,69 @@ func decodeRuns(data []byte) ([]RunRecord, error) {
 // path can never silently serve pre-chaos units — at the cost of one
 // redundant unit set per (env, plan-slice) pair.
 func UnitKey(seed uint64, env apps.EnvSpec, app string, iterations int, plan *chaos.Plan) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "unit v%d\nseed %d\n", storeSchemaVersion, seed)
-	scales := make([]string, len(env.Scales))
+	return unitKey(seed, env, app, iterations, unitChaosText(plan, env.Key))
+}
+
+// unitKey is UnitKey over the environment's chaos-plan slice already
+// rendered (unitChaosText), so a shard renders its slice once for all
+// of its units. The key text is built in one buffer and hashed once.
+func unitKey(seed uint64, env apps.EnvSpec, app string, iterations int, chaosSlice string) string {
+	var buf [512]byte
+	b := append(buf[:0], "unit v"...)
+	b = strconv.AppendInt(b, storeSchemaVersion, 10)
+	b = append(b, "\nseed "...)
+	b = strconv.AppendUint(b, seed, 10)
+	b = append(b, "\nenv "...)
+	b = append(b, env.Key...)
+	b = append(b, " scales="...)
 	for i, n := range env.Scales {
-		scales[i] = strconv.Itoa(n)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(n), 10)
 	}
-	fmt.Fprintf(&b, "env %s scales=%s\napp %s\niterations %d\nchaos:\n",
-		env.Key, strings.Join(scales, ","), app, iterations)
-	if plan != nil {
-		slice := &chaos.Plan{Rules: plan.RulesFor(env.Key)}
-		b.WriteString(slice.String())
-	}
-	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
+	b = append(b, "\napp "...)
+	b = append(b, app...)
+	b = append(b, "\niterations "...)
+	b = strconv.AppendInt(b, int64(iterations), 10)
+	b = append(b, "\nchaos:\n"...)
+	b = append(b, chaosSlice...)
+	sum := sha256.Sum256(b)
+	var key [2 * sha256.Size]byte
+	hex.Encode(key[:], sum[:])
+	return string(key[:])
 }
 
 // saveUnit archives one computed unit. Failures are warnings (routed
 // through logf when injected): a unit that fails to store just
 // recomputes next time.
 func (rs *ResultStore) saveUnit(meta dataset.UnitMeta, u *unitPlan, logf func(format string, args ...any)) {
-	files, err := dataset.MarshalUnit(meta, unitRecords(meta.Env, meta.App, u))
+	files, err := unitFiles(meta, u)
 	if err == nil {
 		_, err = rs.reg.Push("unit/"+meta.Key, dataset.UnitArtifactType, files, nil)
 	}
 	if err != nil {
 		rs.logvia(logf, "core: result store: storing unit/%s failed: %v", meta.Key, err)
 	}
+}
+
+// unitFiles encodes a unit artifact's files from its plan, each draw
+// straight from its planned run (CostUSD stays zero: cost is lifecycle
+// accounting, not a draw). saveUnit and the fleet's ComputeUnitFiles
+// both write units through it.
+func unitFiles(meta dataset.UnitMeta, u *unitPlan) (map[string][]byte, error) {
+	return dataset.MarshalUnit(meta, len(u.runs), func(i int) dataset.Record {
+		pr := &u.runs[i]
+		rec := dataset.Record{
+			Env: meta.Env, App: meta.App, Nodes: pr.nodes, Iter: pr.iter,
+			FOM: pr.result.FOM, Unit: pr.result.Unit,
+			Wall: pr.result.Wall, Hookup: pr.hookup,
+		}
+		if pr.result.Err != nil {
+			rec.Error = pr.result.Err.Error()
+		}
+		return rec
+	})
 }
 
 // loadUnit returns the archived unit plan for a key, or (nil, false) on
@@ -512,22 +553,4 @@ func decodeUnitPlan(env apps.EnvSpec, app string, iterations int, meta dataset.U
 		return nil, fmt.Errorf("unit holds %d records, metadata says %d", len(u.runs), meta.Records)
 	}
 	return u, nil
-}
-
-// unitRecords converts a unit plan's draws to archived records (CostUSD
-// stays zero: cost is lifecycle accounting, not a draw).
-func unitRecords(env, app string, u *unitPlan) []dataset.Record {
-	recs := make([]dataset.Record, 0, len(u.runs))
-	for _, pr := range u.runs {
-		rec := dataset.Record{
-			Env: env, App: app, Nodes: pr.nodes, Iter: pr.iter,
-			FOM: pr.result.FOM, Unit: pr.result.Unit,
-			Wall: pr.result.Wall, Hookup: pr.hookup,
-		}
-		if pr.result.Err != nil {
-			rec.Error = pr.result.Err.Error()
-		}
-		recs = append(recs, rec)
-	}
-	return recs
 }

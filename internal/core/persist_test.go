@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -14,6 +16,7 @@ import (
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/chaos"
 	"cloudhpc/internal/dataset"
+	"cloudhpc/internal/oras"
 	"cloudhpc/internal/store"
 )
 
@@ -380,7 +383,9 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	files, err := dataset.MarshalUnit(dataset.UnitMeta{
 		Version: storeSchemaVersion, Key: key, Seed: 771005,
 		Env: env.Key, App: "stream", Iterations: Iterations,
-	}, []dataset.Record{{Env: env.Key, App: "stream", Nodes: 7, Iter: 0, FOM: 1, Unit: "GB/s"}})
+	}, 1, func(int) dataset.Record {
+		return dataset.Record{Env: env.Key, App: "stream", Nodes: 7, Iter: 0, FOM: 1, Unit: "GB/s"}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,6 +507,53 @@ func TestParallelCodecArtifactsSha256Identical(t *testing.T) {
 				t.Errorf("workers=%d: artifact %s sha256 %s != workers=%d's %s", w, tag, sum, goldenWorkers, golden[tag])
 			}
 		}
+	}
+}
+
+// TestStoredManifestsMatchEncodingJSON pins what the golden file below
+// does not: the manifests. The golden hashes every artifact's layers,
+// not the manifest blob that lists them, so this requires every
+// manifest the seed-2025 study stores, clean and under the default chaos
+// plan, to be byte for byte json.Marshal of its json.Unmarshal decode,
+// the encoding the hand-written manifest codec replaced.
+func TestStoredManifestsMatchEncodingJSON(t *testing.T) {
+	t.Parallel()
+	rs, mem := quietStore(t)
+	for _, chaosRef := range []string{"", "default"} {
+		st, r := newTestStudy(t, &StudySpec{Seed: 2025, Chaos: chaosRef}, rs)
+		res, err := st.runSession(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rs.SaveStudy(r, res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifests := 0
+	for _, ref := range mem.Refs() {
+		if !strings.HasPrefix(ref, "oras/manifest/") {
+			continue
+		}
+		d, _ := mem.Ref(ref)
+		data, err := mem.Get(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m oras.Manifest
+		if err := json.Unmarshal(data, &m); err != nil {
+			t.Fatalf("manifest %s: %v", d, err)
+		}
+		want, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(data, want) {
+			t.Fatalf("manifest %s:\n stored       %s\n json.Marshal %s", d, data, want)
+		}
+		manifests++
+	}
+	if want := len(rs.Registry().Tags()); manifests != want {
+		t.Fatalf("checked %d manifests, the store holds %d tags", manifests, want)
 	}
 }
 

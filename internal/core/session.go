@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -156,17 +157,21 @@ func (s *Session) SubscribeFrom(afterSeq uint64) *Subscription {
 	s.mu.Lock()
 	s.retain = true
 	s.saturated.Store(false)
-	var replay []Event
-	for _, ev := range s.ring {
-		if ev.Seq > afterSeq {
-			replay = append(replay, ev)
-		}
-	}
+	// The ring ascends by Seq, so the replay is its tail; it is read
+	// under s.mu and copied into the channel, never staged.
+	first := sort.Search(len(s.ring), func(i int) bool { return s.ring[i].Seq > afterSeq })
+	replay := s.ring[first:]
 	missed := uint64(0)
 	if last := s.seq.Load(); afterSeq < last {
 		missed = last - afterSeq - uint64(len(replay))
 	}
-	ch := make(chan Event, subscriberBuffer+len(replay))
+	// A finished session emits nothing more: its channel holds exactly
+	// the replay. A live one also buffers subscriberBuffer live events.
+	size := len(replay)
+	if !s.closed {
+		size += subscriberBuffer
+	}
+	ch := make(chan Event, size)
 	for _, ev := range replay {
 		ch <- ev
 	}
@@ -252,13 +257,12 @@ func (s *Session) setTotal(n int) {
 }
 
 // taskDone counts one completed work unit and publishes the progress
-// event. Nil-safe.
+// event; emit counts it (see there). Nil-safe.
 func (s *Session) taskDone() {
 	if s == nil {
 		return
 	}
-	done := s.completed.Add(1)
-	s.emit(Event{Kind: EventProgress, Done: int(done), Total: int(s.total.Load())})
+	s.emit(Event{Kind: EventProgress, Total: int(s.total.Load())})
 }
 
 // emit assigns the event its sequence number, records it in the replay
@@ -275,12 +279,20 @@ func (s *Session) emit(ev Event) {
 		// first-ever subscribe on a saturated ring may land here and be
 		// counted missed rather than delivered — the count stays honest.)
 		ev.Seq = s.seq.Add(1)
+		if ev.Kind == EventProgress {
+			s.completed.Add(1)
+		}
 		s.lost.Add(1)
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ev.Seq = s.seq.Add(1) // under s.mu: the ring stays seq-ascending
+	if ev.Kind == EventProgress {
+		// Counted under s.mu too, so progress events reach subscribers
+		// in Done order, however the workers finishing them interleave.
+		ev.Done = int(s.completed.Add(1))
+	}
 	s.record(ev)
 	for ch := range s.subs {
 		select {

@@ -249,3 +249,51 @@ func TestSessionDoneBeforeTerminalEvent(t *testing.T) {
 		}
 	}
 }
+
+// TestOneWorkerEventOrderFixed: at one worker the event stream is a
+// function of the spec alone. Every planned task is queued before the
+// pool starts, so the worker never overtakes the feeding loop; the rpc
+// reattach transcript depends on it. The spec is that transcript's, run
+// 200 times, each run required to emit the first run's (kind, env, app)
+// sequence.
+func TestOneWorkerEventOrderFixed(t *testing.T) {
+	t.Parallel()
+	spec, err := ParseSpec("seed 880003\nenvs aws-eks-cpu google-gke-cpu\nscales 2 4\niterations 2\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Workers = 1
+	order := func() []string {
+		st, _ := newTestStudy(t, spec, nil)
+		sess := newSession(func() {})
+		sub := sess.SubscribeFrom(0)
+		res, err := st.runSession(context.Background(), sess)
+		sess.finish(res, err)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seq []string
+		for ev := range sub.Events {
+			seq = append(seq, string(ev.Kind)+" "+ev.Env+" "+ev.App)
+		}
+		if sess.Dropped() != 0 {
+			t.Fatalf("%d events dropped", sess.Dropped())
+		}
+		return seq
+	}
+	want := order()
+	if len(want) < 40 {
+		t.Fatalf("the study emitted %d events, want a whole two-environment stream", len(want))
+	}
+	for run := 1; run < 200; run++ {
+		got := order()
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					t.Fatalf("run %d diverged at event %d: %q, first run %q", run, i+1, got[min(i, len(got)-1)], want[i])
+				}
+			}
+			t.Fatalf("run %d emitted %d events, first run %d", run, len(got), len(want))
+		}
+	}
+}

@@ -63,6 +63,10 @@ type shard struct {
 	store    *ResultStore
 	computes *atomic.Int64
 	logf     func(format string, args ...any)
+	// unitChaos is the environment's chaos-plan slice in plan-file
+	// syntax (unitChaosText), rendered once for every unit key and
+	// fleet work tuple of the shard; empty without a store.
+	unitChaos string
 	// fleet, when non-nil alongside store, offloads store-missed units to
 	// remote workers before falling back to local compute (see unit.go).
 	fleet FleetDelegate
@@ -138,6 +142,9 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 			ECCOn:   make(map[string]float64),
 			Hookups: make(map[string]map[int]time.Duration),
 		},
+	}
+	if st.Store != nil {
+		sh.unitChaos = unitChaosText(st.Opts.Chaos, spec.Key)
 	}
 	return sh
 }

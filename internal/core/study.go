@@ -205,20 +205,13 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	sess.setTotal(total)
 	sess.emit(Event{Kind: EventStudyStarted, Total: total})
 
+	// Every planned task is enqueued before the pool starts, so the
+	// queue's order is the plan's and, at one worker, so is the event
+	// order. The queue holds all total tasks, so neither this loop nor a
+	// unit enqueueing its assembly ever blocks.
 	queue := make(chan func(), total)
 	var pending sync.WaitGroup
 	pending.Add(total)
-	var pool sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		pool.Add(1)
-		go func() {
-			defer pool.Done()
-			for task := range queue {
-				task()
-				pending.Done()
-			}
-		}()
-	}
 	for _, sh := range shards {
 		sh := sh
 		if sh.spec.Unavailable != "" || len(sh.models) == 0 {
@@ -241,6 +234,17 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 				}
 			}
 		}
+	}
+	var pool sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		pool.Add(1)
+		go func() {
+			defer pool.Done()
+			for task := range queue {
+				task()
+				pending.Done()
+			}
+		}()
 	}
 	pending.Wait()
 	close(queue)

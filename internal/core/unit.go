@@ -138,7 +138,7 @@ func (sh *shard) ensureUnit(appIdx int) EventKind {
 	m := sh.models[appIdx]
 	var key string
 	if sh.store != nil {
-		key = UnitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.opts.Chaos)
+		key = unitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.unitChaos)
 		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations, sh.logf); ok {
 			sh.planned[appIdx] = u
 			return EventUnitCached

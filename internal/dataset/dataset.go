@@ -13,7 +13,6 @@
 package dataset
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strconv"
@@ -144,15 +143,61 @@ type UnitMeta struct {
 	Records    int    `json:"records"`
 }
 
-// MarshalUnit encodes a unit artifact's files: the metadata and the draw
-// records.
-func MarshalUnit(meta UnitMeta, recs []Record) (map[string][]byte, error) {
-	meta.Records = len(recs)
-	mj, err := json.Marshal(meta)
-	if err != nil {
-		return nil, err
+// AppendJSONL appends the metadata's JSON, the bytes json.Marshal
+// writes for it, field for field. It never fails.
+func (m *UnitMeta) AppendJSONL(b []byte) ([]byte, error) {
+	b = append(b, `{"version":`...)
+	b = strconv.AppendInt(b, int64(m.Version), 10)
+	b = append(b, `,"key":`...)
+	b = jsonl.AppendString(b, m.Key)
+	b = append(b, `,"seed":`...)
+	b = strconv.AppendUint(b, m.Seed, 10)
+	b = append(b, `,"env":`...)
+	b = jsonl.AppendString(b, m.Env)
+	b = append(b, `,"app":`...)
+	b = jsonl.AppendString(b, m.App)
+	b = append(b, `,"iterations":`...)
+	b = strconv.AppendInt(b, int64(m.Iterations), 10)
+	b = append(b, `,"records":`...)
+	b = strconv.AppendInt(b, int64(m.Records), 10)
+	return append(b, '}'), nil
+}
+
+// UnmarshalJSONL decodes unit.json, strictly (see jsonl.Object).
+func (m *UnitMeta) UnmarshalJSONL(o *jsonl.Object) error {
+	for o.Next() {
+		switch string(o.Key()) {
+		case "version":
+			m.Version = o.Int()
+		case "key":
+			m.Key = o.Text()
+		case "seed":
+			m.Seed = o.Uint64()
+		case "env":
+			m.Env = o.Text()
+		case "app":
+			m.App = o.Text()
+		case "iterations":
+			m.Iterations = o.Int()
+		case "records":
+			m.Records = o.Int()
+		default:
+			o.UnknownKey()
+		}
 	}
-	rj, err := MarshalJSONL(recs)
+	return o.Err()
+}
+
+// MarshalUnit encodes a unit artifact's files: the metadata and n draw
+// records, record i given by rec(i) and encoded as it is read, so the
+// caller stages no record slice.
+func MarshalUnit(meta UnitMeta, n int, rec func(i int) Record) (map[string][]byte, error) {
+	meta.Records = n
+	mj, _ := meta.AppendJSONL(make([]byte, 0, 96+len(meta.Key)+len(meta.Env)+len(meta.App))) // holds no float, so never fails
+	rj, err := jsonl.MarshalEach(n, func(b []byte, i int) ([]byte, error) {
+		r := rec(i)
+		return r.AppendJSONL(b)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +216,7 @@ func UnitCursor(files map[string][]byte) (UnitMeta, *jsonl.Decoder[Record], erro
 	if !ok {
 		return meta, nil, fmt.Errorf("dataset: unit artifact has no unit.json")
 	}
-	if err := json.Unmarshal(mj, &meta); err != nil {
+	if err := jsonl.Decode(mj, &meta); err != nil {
 		return meta, nil, fmt.Errorf("dataset: unit.json: %w", err)
 	}
 	rj, ok := files["runs.jsonl"]

@@ -185,7 +185,7 @@ func TestUnitArtifactRoundTrip(t *testing.T) {
 		{Env: "aws-eks-cpu", App: "lammps", Nodes: 32, Iter: 0, FOM: 3.5, Unit: "M-atom steps/s", Wall: time.Minute, Hookup: 9 * time.Second},
 		{Env: "aws-eks-cpu", App: "lammps", Nodes: 32, Iter: 1, FOM: 3.6, Unit: "M-atom steps/s", Wall: time.Minute, Hookup: 9 * time.Second},
 	}
-	files, err := dataset.MarshalUnit(meta, recs)
+	files, err := dataset.MarshalUnit(meta, len(recs), func(i int) dataset.Record { return recs[i] })
 	if err != nil {
 		t.Fatal(err)
 	}

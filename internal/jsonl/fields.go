@@ -4,20 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// Field primitives for the hand-written line codecs. A record type
-// opts out of encoding/json reflection by giving *T two methods:
+// Field primitives for the hand-written codecs. A record type opts out
+// of encoding/json reflection by giving *T two methods:
 //
 //	AppendJSONL(b []byte) ([]byte, error) // one line, no newline
 //	UnmarshalJSONL(o *Object) error       // one line, field by field
 //
-// Marshal, Unmarshal and Decoder call them when *T has them. The JSON
+// Marshal, Unmarshal and Decoder call them when *T has them, and Decode
+// calls the second for a file that holds a single object. The JSON
 // format rules those methods need live here, so every codec writes the
-// bytes json.Encoder writes and reads with one set of strictness rules.
+// bytes encoding/json writes and reads with one set of strictness rules.
 
 // lineAppender is the encode half of a hand-written line codec.
 type lineAppender interface {
@@ -118,8 +120,34 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 	return b, nil
 }
 
-// Object reads one line holding a flat JSON object, whose values are
-// strings and numbers, for a type's UnmarshalJSONL method:
+// AppendStringMap appends m as json.Marshal writes a map[string]string:
+// null for a nil map, else an object with its keys in byte order, keys
+// and values escaped as AppendString escapes them.
+func AppendStringMap(b []byte, m map[string]string) []byte {
+	if m == nil {
+		return append(b, "null"...)
+	}
+	var small [8]string
+	keys := small[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = AppendString(b, k)
+		b = append(b, ':')
+		b = AppendString(b, m[k])
+	}
+	return append(b, '}')
+}
+
+// Object reads one JSON object, whose values are strings, numbers and
+// (through Next, Elem, Null and StringMap) nested objects, arrays and
+// null, for a type's UnmarshalJSONL method:
 //
 //	for o.Next() {
 //		switch string(o.Key()) {
@@ -133,25 +161,35 @@ func AppendFloat(b []byte, f float64) ([]byte, error) {
 //	}
 //	return o.Err()
 //
-// It accepts a subset of what json.Unmarshal accepts, and on every line
+// A member whose value is an object is read by a nested loop of Next on
+// the same Object; one whose value is an array by a loop of Elem, each
+// element then read like a member's value.
+//
+// It accepts a subset of what json.Unmarshal accepts, and on every input
 // it accepts the two decode equal values. Outside the subset are
 // unknown keys (including the case variants json folds onto a field),
-// keys with escapes, null, booleans, nested arrays and objects, invalid
-// UTF-8, unpaired surrogate escapes, numbers out of their field's range,
-// and anything but whitespace after the closing brace. Number grammar is
-// checked before strconv parses a value, so strconv's own extensions
-// (a leading '+', "Inf", hex, underscores) never get through.
+// field names written with escapes, booleans, null and nested values
+// where the caller reads none, invalid UTF-8, unpaired surrogate
+// escapes, numbers out of their field's range, and anything but
+// whitespace after the closing brace. Number grammar is checked before
+// strconv parses a value, so strconv's own extensions (a leading '+',
+// "Inf", hex, underscores) never get through.
 //
 // The first error sticks: Next reports false and the value readers
 // return zero from then on, so the caller checks Err once at the end.
 // Duplicate keys decode in order, the last one winning, as in
 // encoding/json.
 type Object struct {
-	line   []byte
-	pos    int
-	key    []byte
-	opened bool
-	err    error
+	line  []byte
+	pos   int
+	key   []byte
+	keyAt int // offset of the key's opening quote
+	err   error
+	// depth counts the open objects and arrays; pending reports that the
+	// reader sits on a value nobody has read yet (the whole input, at
+	// first).
+	depth   int
+	pending bool
 
 	buf  []byte            // unescape scratch, reused across lines
 	syms map[string]string // Symbol's intern table, kept for one decode
@@ -160,7 +198,17 @@ type Object struct {
 // reset points the reader at a new line, keeping the scratch buffer and
 // the intern table.
 func (o *Object) reset(line []byte) {
-	o.line, o.pos, o.key, o.opened, o.err = line, 0, nil, false, nil
+	o.line, o.pos, o.key, o.err = line, 0, nil, nil
+	o.depth, o.pending = 0, true
+}
+
+// Decode reads data, which holds one JSON object, into v through its
+// UnmarshalJSONL method, as strictly as a line (see Object): the
+// one-object form of Decoder, for a file such as a manifest.
+func Decode(data []byte, v lineUnmarshaler) error {
+	var o Object
+	o.reset(data)
+	return v.UnmarshalJSONL(&o)
 }
 
 // Err returns the first error the line produced, or nil.
@@ -175,6 +223,16 @@ func (o *Object) Key() []byte { return o.key }
 func (o *Object) UnknownKey() {
 	if o.err == nil {
 		o.err = fmt.Errorf("unknown key %q", o.key)
+	}
+}
+
+// RepeatedKey fails the line on the current key, for a member whose
+// value is an array of objects: encoding/json decodes a repeated one
+// into the first one's elements, merging them field by field, which a
+// strict decoder refuses rather than copies.
+func (o *Object) RepeatedKey() {
+	if o.err == nil {
+		o.err = fmt.Errorf("repeated key %q", o.key)
 	}
 }
 
@@ -200,18 +258,21 @@ func (o *Object) skipSpace() {
 
 // Next advances to the next member and reports whether there is one;
 // the reader then sits on the member's value, which the caller must
-// read (or reject with UnknownKey) before calling Next again. Next
-// returns false at the closing brace and on any error.
+// read (or reject with UnknownKey) before calling Next again. Called on
+// an unread value, Next opens it as an object and advances to its first
+// member. Next returns false at the object's closing brace and on any
+// error.
 func (o *Object) Next() bool {
 	if o.err != nil {
 		return false
 	}
 	o.skipSpace()
-	if !o.opened {
+	if o.pending {
 		if o.pos >= len(o.line) || o.line[o.pos] != '{' {
 			return o.fail(o.pos, "expected '{'")
 		}
-		o.opened = true
+		o.depth++
+		o.pending = false
 		o.pos++
 		o.skipSpace()
 		if o.pos < len(o.line) && o.line[o.pos] == '}' {
@@ -230,29 +291,112 @@ func (o *Object) Next() bool {
 	if o.pos >= len(o.line) || o.line[o.pos] != '"' {
 		return o.fail(o.pos, "expected a key")
 	}
-	n := bytes.IndexByte(o.line[o.pos+1:], '"')
-	if n < 0 {
+	end := o.pos + 1
+	for end < len(o.line) && o.line[end] != '"' {
+		if o.line[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	if end >= len(o.line) {
 		return o.fail(o.pos, "unterminated key")
 	}
-	o.key = o.line[o.pos+1 : o.pos+1+n]
-	o.pos += n + 2
+	o.keyAt, o.key = o.pos, o.line[o.pos+1:end]
+	o.pos = end + 1
 	o.skipSpace()
 	if o.pos >= len(o.line) || o.line[o.pos] != ':' {
 		return o.fail(o.pos, "expected ':'")
 	}
 	o.pos++
 	o.skipSpace()
+	o.pending = true
 	return true
 }
 
-// close consumes the closing brace; only whitespace may follow it.
-func (o *Object) close() bool {
+// Elem advances to the next element of the array the reader sits on and
+// reports whether there is one; the reader then sits on the element,
+// which the caller reads like a member's value before calling Elem
+// again. Elem returns false at the array's closing bracket and on any
+// error.
+func (o *Object) Elem() bool {
+	if o.err != nil {
+		return false
+	}
+	o.skipSpace()
+	if o.pending {
+		if o.pos >= len(o.line) || o.line[o.pos] != '[' {
+			return o.fail(o.pos, "expected '['")
+		}
+		o.depth++
+		o.pos++
+		o.skipSpace()
+		if o.pos < len(o.line) && o.line[o.pos] == ']' {
+			o.pending = false
+			return o.close()
+		}
+		return true
+	}
+	if o.pos < len(o.line) && o.line[o.pos] == ']' {
+		return o.close()
+	}
+	if o.pos >= len(o.line) || o.line[o.pos] != ',' {
+		return o.fail(o.pos, "expected ',' or ']'")
+	}
 	o.pos++
 	o.skipSpace()
-	if o.pos != len(o.line) {
-		o.fail(o.pos, "data after the closing brace")
+	o.pending = true
+	return true
+}
+
+// close consumes the closing brace or bracket of the innermost open
+// value; after the outermost one only whitespace may follow.
+func (o *Object) close() bool {
+	o.pos++
+	o.depth--
+	if o.depth == 0 {
+		o.skipSpace()
+		if o.pos != len(o.line) {
+			o.fail(o.pos, "data after the closing brace")
+		}
 	}
 	return false
+}
+
+// Null reports whether the current value is null, and reads it if so.
+func (o *Object) Null() bool {
+	if o.err != nil || !o.pending || !bytes.HasPrefix(o.line[o.pos:], []byte("null")) {
+		return false
+	}
+	o.pos += len("null")
+	o.pending = false
+	return true
+}
+
+// StringMap reads the current value, an object of strings, into m as
+// json.Unmarshal fills a map[string]string: it makes m when m is nil
+// (so {} reads as an empty map, not nil) and adds every member, the last
+// of a repeated key winning. Its keys are read as strings are, escapes
+// and all.
+func (o *Object) StringMap(m map[string]string) map[string]string {
+	if m == nil {
+		m = make(map[string]string)
+	}
+	for o.Next() {
+		k, ok := o.keyText()
+		if v := o.Text(); ok && o.err == nil {
+			m[k] = v
+		}
+	}
+	return m
+}
+
+// keyText reads the current key as a string value, escapes decoded.
+func (o *Object) keyText() (string, bool) {
+	pos := o.pos
+	o.pos = o.keyAt
+	k, ok := o.str()
+	o.pos, o.pending = pos, true
+	return string(k), ok
 }
 
 // Text reads the current value as a string.
@@ -302,7 +446,7 @@ func (o *Object) str() ([]byte, bool) {
 			if !ascii && !utf8.Valid(s) {
 				return nil, o.fail(start, "invalid UTF-8 in string")
 			}
-			o.pos = i + 1
+			o.pos, o.pending = i+1, false
 			return s, true
 		case c == '\\':
 			return o.unescape(start, i)
@@ -331,7 +475,7 @@ func (o *Object) unescape(start, i int) ([]byte, bool) {
 			if !utf8.Valid(b) {
 				return nil, o.fail(start, "invalid UTF-8 in string")
 			}
-			o.pos = i + 1
+			o.pos, o.pending = i+1, false
 			return b, true
 		case c < ' ':
 			return nil, o.fail(i, "control character in string")
@@ -454,7 +598,7 @@ func (o *Object) number() (num []byte, integer, ok bool) {
 		}
 		i, integer = j, false
 	}
-	num, o.pos = line[o.pos:i], i
+	num, o.pos, o.pending = line[o.pos:i], i, false
 	return num, integer, true
 }
 
@@ -483,6 +627,26 @@ func (o *Object) Int() int { return int(o.integer(strconv.IntSize)) }
 
 // Int64 reads the current value as an int64.
 func (o *Object) Int64() int64 { return o.integer(64) }
+
+// Uint64 reads the current value as a uint64, as json.Unmarshal reads
+// one into a uint64 field: no sign, no fraction, no exponent.
+func (o *Object) Uint64() uint64 {
+	at := o.pos
+	num, integer, ok := o.number()
+	if !ok {
+		return 0
+	}
+	if !integer {
+		o.fail(at, "expected an integer")
+		return 0
+	}
+	n, err := strconv.ParseUint(string(num), 10, 64)
+	if err != nil {
+		o.fail(at, "integer out of range")
+		return 0
+	}
+	return n
+}
 
 // Float reads the current value as a float64; a number beyond float64's
 // range is an error, as it is for json.Unmarshal.

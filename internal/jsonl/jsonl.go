@@ -50,33 +50,59 @@ const maxPooledBuf = 16 << 20
 // AppendJSONL method appends each line straight into the pooled buffer;
 // any other type goes through json.Encoder.
 func Marshal[T any](items []T) ([]byte, error) {
-	buf := encBufs.Get().(*bytes.Buffer)
-	defer func() {
-		if buf.Cap() <= maxPooledBuf {
-			buf.Reset()
-			encBufs.Put(buf)
-		}
-	}()
-	buf.Reset()
 	if _, ok := any((*T)(nil)).(lineAppender); ok {
-		for i := range items {
-			b, err := any(&items[i]).(lineAppender).AppendJSONL(buf.AvailableBuffer())
-			if err != nil {
-				return nil, err
-			}
-			buf.Write(append(b, '\n'))
-		}
-	} else {
-		enc := json.NewEncoder(buf)
-		for i := range items {
-			if err := enc.Encode(items[i]); err != nil {
-				return nil, err
-			}
+		return MarshalEach(len(items), func(b []byte, i int) ([]byte, error) {
+			return any(&items[i]).(lineAppender).AppendJSONL(b)
+		})
+	}
+	buf := getBuf()
+	defer putBuf(buf)
+	enc := json.NewEncoder(buf)
+	for i := range items {
+		if err := enc.Encode(items[i]); err != nil {
+			return nil, err
 		}
 	}
+	return copyOut(buf), nil
+}
+
+// MarshalEach encodes n lines, in order, through the pooled buffer:
+// appendLine appends line i, without its newline, to b and returns the
+// extended slice. It is Marshal for a caller that encodes straight from
+// its live records, with no slice of wire values staged first. The
+// returned slice is exactly sized and owned by the caller.
+func MarshalEach(n int, appendLine func(b []byte, i int) ([]byte, error)) ([]byte, error) {
+	buf := getBuf()
+	defer putBuf(buf)
+	for i := 0; i < n; i++ {
+		b, err := appendLine(buf.AvailableBuffer(), i)
+		if err != nil {
+			return nil, err
+		}
+		buf.Write(append(b, '\n'))
+	}
+	return copyOut(buf), nil
+}
+
+// copyOut returns an exactly sized copy of the buffer's bytes.
+func copyOut(buf *bytes.Buffer) []byte {
 	out := make([]byte, buf.Len())
 	copy(out, buf.Bytes())
-	return out, nil
+	return out
+}
+
+func getBuf() *bytes.Buffer {
+	buf := encBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	return buf
+}
+
+// putBuf returns a buffer to the pool unless it grew past maxPooledBuf.
+func putBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxPooledBuf {
+		buf.Reset()
+		encBufs.Put(buf)
+	}
 }
 
 // Unmarshal decodes JSON lines into values of T. Blank lines are

@@ -18,13 +18,15 @@
 package oras
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
+	"cloudhpc/internal/jsonl"
 	"cloudhpc/internal/store"
 )
 
@@ -47,13 +49,101 @@ type Manifest struct {
 	Annotations  map[string]string `json:"annotations,omitempty"`
 }
 
-// encode renders the manifest's canonical form: JSON with struct fields
-// in declaration order and map keys sorted (encoding/json's map
-// behaviour), so identical manifests always serialize identically. The
-// encoding doubles as the stored representation, making the manifest its
-// own content-addressed blob.
-func (m Manifest) encode() ([]byte, error) {
-	return json.Marshal(m)
+// encode renders the manifest's canonical form: the bytes json.Marshal
+// writes for it (struct fields in declaration order, map keys sorted,
+// strings escaped as encoding/json escapes them), so identical manifests
+// always serialize identically. The encoding doubles as the stored
+// representation, making the manifest its own content-addressed blob.
+func (m Manifest) encode() []byte {
+	b := make([]byte, 0, 128+192*len(m.Layers))
+	b = append(b, `{"artifactType":`...)
+	b = jsonl.AppendString(b, m.ArtifactType)
+	b = append(b, `,"layers":`...)
+	if m.Layers == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i := range m.Layers {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = m.Layers[i].appendJSON(b)
+		}
+		b = append(b, ']')
+	}
+	if len(m.Annotations) > 0 {
+		b = append(b, `,"annotations":`...)
+		b = jsonl.AppendStringMap(b, m.Annotations)
+	}
+	return append(b, '}')
+}
+
+func (d *Descriptor) appendJSON(b []byte) []byte {
+	b = append(b, `{"mediaType":`...)
+	b = jsonl.AppendString(b, d.MediaType)
+	b = append(b, `,"digest":`...)
+	b = jsonl.AppendString(b, string(d.Digest))
+	b = append(b, `,"size":`...)
+	b = strconv.AppendInt(b, d.Size, 10)
+	if len(d.Annotations) > 0 {
+		b = append(b, `,"annotations":`...)
+		b = jsonl.AppendStringMap(b, d.Annotations)
+	}
+	return append(b, '}')
+}
+
+// UnmarshalJSONL decodes a stored manifest. It is strict (see
+// jsonl.Object): it accepts a subset of what json.Unmarshal accepts and
+// decodes an equal value from it. A repeated "layers" key is refused;
+// a repeated "annotations" key merges, as in encoding/json.
+func (m *Manifest) UnmarshalJSONL(o *jsonl.Object) error {
+	seenLayers := false
+	for o.Next() {
+		switch string(o.Key()) {
+		case "artifactType":
+			m.ArtifactType = o.Text()
+		case "layers":
+			if seenLayers {
+				o.RepeatedKey()
+			}
+			seenLayers = true
+			m.Layers = decodeLayers(o)
+		case "annotations":
+			m.Annotations = o.StringMap(m.Annotations)
+		default:
+			o.UnknownKey()
+		}
+	}
+	return o.Err()
+}
+
+// decodeLayers reads a manifest's layer array: null reads as nil and []
+// as an empty list, as in encoding/json. The list starts with room for
+// a study bundle's four layers.
+func decodeLayers(o *jsonl.Object) []Descriptor {
+	if o.Null() {
+		return nil
+	}
+	layers := make([]Descriptor, 0, 4)
+	for o.Elem() {
+		layers = append(layers, Descriptor{})
+		d := &layers[len(layers)-1]
+		for o.Next() {
+			switch string(o.Key()) {
+			case "mediaType":
+				d.MediaType = o.Text()
+			case "digest":
+				d.Digest = Digest(o.Text())
+			case "size":
+				d.Size = o.Int64()
+			case "annotations":
+				d.Annotations = o.StringMap(d.Annotations)
+			default:
+				o.UnknownKey()
+			}
+		}
+	}
+	return layers
 }
 
 // Registry errors.
@@ -120,9 +210,9 @@ func (r *Registry) fetchBlobLocked(d Digest) ([]byte, error) {
 	return data, nil
 }
 
-// manifestAt fetches and decodes a stored manifest blob. Any JSON value
-// decodes as a Manifest, so one without an artifact type or without
-// layers is refused as not a manifest; Push never writes one.
+// manifestAt fetches and decodes a stored manifest blob. A blob the
+// strict decoder refuses is not a manifest, and neither is a manifest
+// without an artifact type or without layers; Push never writes one.
 func (r *Registry) manifestAt(d Digest) (Manifest, error) {
 	data, err := r.blobs.Get(string(d))
 	switch {
@@ -134,7 +224,7 @@ func (r *Registry) manifestAt(d Digest) (Manifest, error) {
 		return Manifest{}, err
 	}
 	var m Manifest
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := jsonl.Decode(data, &m); err != nil {
 		return Manifest{}, fmt.Errorf("oras: decoding manifest %s: %w", d, err)
 	}
 	if m.ArtifactType == "" || len(m.Layers) == 0 {
@@ -213,12 +303,59 @@ func (r *Registry) ReconcileRefs(refs map[string]string) (applied, skipped int, 
 	return len(apply), skipped, nil
 }
 
+// largeLayer is the size from which a layer is stored, fetched and
+// verified on a goroutine of its own: hashing it costs far more than
+// starting one. A study bundle's runs.jsonl and trace.jsonl (about half
+// a megabyte each) are above it; its meta.json and meter.jsonl and both
+// files of a unit artifact (a few kilobytes) are below it, and stay on
+// the caller.
+const largeLayer = 64 << 10
+
+// eachLayer calls do(i) for i in [0, n): on a goroutine of its own when
+// size(i) is at least largeLayer, else on the caller. It returns once
+// every call has. At most GOMAXPROCS such goroutines run at once: a
+// pulled manifest's layer list is input, as long as it likes.
+func eachLayer(n int, size func(i int) int64, do func(i int)) {
+	var (
+		wg   sync.WaitGroup
+		busy chan struct{}
+	)
+	for i := 0; i < n; i++ {
+		if size(i) < largeLayer {
+			do(i)
+			continue
+		}
+		if busy == nil {
+			busy = make(chan struct{}, runtime.GOMAXPROCS(0))
+		}
+		busy <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			do(i)
+			<-busy
+		}()
+	}
+	wg.Wait()
+}
+
+// firstErr returns the first non-nil error, in layer order.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Push is the ORAS convenience verb: store files as layers under one
 // manifest and tag it. Files map name → content; names land in layer
 // annotations like `oras push` does, in sorted name order so the layer
-// list — and therefore the manifest digest — is deterministic. An
-// artifact needs a type and at least one file: Push writes no manifest
-// that Pull would refuse.
+// list — and therefore the manifest digest — is deterministic. Large
+// layers are stored concurrently (see largeLayer); an error is the first
+// in layer order. An artifact needs a type and at least one file: Push
+// writes no manifest that Pull would refuse.
 func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annotations map[string]string) (Digest, error) {
 	if artifactType == "" || len(files) == 0 {
 		return "", fmt.Errorf("oras: push %q: an artifact needs a type and at least one file", tag)
@@ -230,24 +367,23 @@ func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annot
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	m := Manifest{ArtifactType: artifactType, Annotations: annotations}
-	for _, n := range names {
-		dig, err := r.blobs.Put(files[n])
-		if err != nil {
-			return "", err
+	m := Manifest{ArtifactType: artifactType, Layers: make([]Descriptor, len(names)), Annotations: annotations}
+	errs := make([]error, len(names))
+	eachLayer(len(names), func(i int) int64 { return int64(len(files[names[i]])) }, func(i int) {
+		data := files[names[i]]
+		dig, err := r.blobs.Put(data)
+		m.Layers[i] = Descriptor{
+			MediaType: "application/octet-stream", Digest: Digest(dig), Size: int64(len(data)),
+			Annotations: map[string]string{"org.opencontainers.image.title": names[i]},
 		}
-		m.Layers = append(m.Layers, Descriptor{
-			MediaType: "application/octet-stream", Digest: Digest(dig), Size: int64(len(files[n])),
-			Annotations: map[string]string{"org.opencontainers.image.title": n},
-		})
+		errs[i] = err
+	})
+	if err := firstErr(errs); err != nil {
+		return "", err
 	}
 	// One batched ref update covers the manifest marker and the tag, so
 	// an artifact push persists the backing index once, not twice.
-	data, err := m.encode()
-	if err != nil {
-		return "", err
-	}
-	dig, err := r.blobs.Put(data)
+	dig, err := r.blobs.Put(m.encode())
 	if err != nil {
 		return "", err
 	}
@@ -287,17 +423,21 @@ func (r *Registry) pullLocked(d Digest) (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	blobs := make([][]byte, len(m.Layers))
+	errs := make([]error, len(m.Layers))
+	eachLayer(len(m.Layers), func(i int) int64 { return m.Layers[i].Size }, func(i int) {
+		blobs[i], errs[i] = r.fetchBlobLocked(m.Layers[i].Digest)
+	})
+	if err := firstErr(errs); err != nil {
+		return nil, err
+	}
 	out := make(map[string][]byte, len(m.Layers))
 	for i, l := range m.Layers {
-		data, err := r.fetchBlobLocked(l.Digest)
-		if err != nil {
-			return nil, err
-		}
 		name := l.Annotations["org.opencontainers.image.title"]
 		if name == "" {
 			name = fmt.Sprintf("layer-%d", i)
 		}
-		out[name] = data
+		out[name] = blobs[i]
 	}
 	return out, nil
 }

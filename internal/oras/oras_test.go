@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -147,6 +148,61 @@ func TestPushPullRoundTrip(t *testing.T) {
 	tags := r.Tags()
 	if len(tags) != 1 || tags[0] != "results/run1" {
 		t.Fatalf("tags = %v", tags)
+	}
+}
+
+// TestLargeLayers: layers of largeLayer bytes or more are stored and
+// verified on goroutines of their own. The files still round-trip, the
+// manifest still lists every layer in name order whatever its size, and
+// a pull reports the failure of the first layer in that order, whether
+// that layer was fetched on a goroutine or on the caller.
+func TestLargeLayers(t *testing.T) {
+	t.Parallel()
+	bs := store.NewMemory()
+	r := NewRegistryWith(bs)
+	files := map[string][]byte{
+		"a-large": bytes.Repeat([]byte("a"), largeLayer),
+		"b-small": []byte("small"),
+		"c-large": bytes.Repeat([]byte("c"), 3*largeLayer),
+		"d-below": bytes.Repeat([]byte("d"), largeLayer-1),
+	}
+	d, err := r.Push("big", "t", files, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Pull("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := r.manifestAt(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"a-large", "b-small", "c-large", "d-below"}
+	for i, name := range names {
+		if !bytes.Equal(got[name], files[name]) {
+			t.Fatalf("%s did not round-trip", name)
+		}
+		l := m.Layers[i]
+		if l.Annotations["org.opencontainers.image.title"] != name || l.Size != int64(len(files[name])) {
+			t.Fatalf("layer %d is %v, want %s of %d bytes", i, l, name, len(files[name]))
+		}
+	}
+	for _, tc := range []struct{ corrupt, first int }{
+		{corrupt: 2, first: 2}, // one large layer, on a goroutine
+		{corrupt: 3, first: 3}, // one small layer, on the caller
+		{corrupt: 1, first: 1},
+	} {
+		for i := tc.corrupt; i < len(names); i++ {
+			bs.Corrupt(string(m.Layers[i].Digest))
+		}
+		_, err := r.Pull("big")
+		if !errors.Is(err, ErrDigestMismatch) || !strings.Contains(err.Error(), string(m.Layers[tc.first].Digest)) {
+			t.Fatalf("layers %d.. corrupt: pull error %v, want layer %d's mismatch", tc.corrupt, err, tc.first)
+		}
+		if _, err := r.Push("big", "t", files, nil); err != nil { // heals the damaged blobs
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -307,11 +363,7 @@ func ingestManifest(t *testing.T, r *Registry, payload string) Digest {
 	m := Manifest{ArtifactType: "t", Layers: []Descriptor{{
 		MediaType: "application/octet-stream", Digest: Digest(layer), Size: int64(len(payload)),
 	}}}
-	data, err := m.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := r.IngestBlob(data)
+	d, err := r.IngestBlob(m.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,12 +419,9 @@ func TestTagIfAbsentRefusesInvalidTargets(t *testing.T) {
 		}
 		return Digest(d)
 	}
-	dangling, err := Manifest{ArtifactType: "t", Layers: []Descriptor{{
+	dangling := Manifest{ArtifactType: "t", Layers: []Descriptor{{
 		MediaType: "application/octet-stream", Digest: Digest(store.DigestOf([]byte("never stored"))), Size: 12,
 	}}}.encode()
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		d    Digest

@@ -214,7 +214,7 @@ func (s *Disk) Put(data []byte) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.blobs[d]; ok {
-		if onDisk, err := os.ReadFile(s.blobPath(h)); err == nil && DigestOf(onDisk) == d {
+		if onDisk, err := os.ReadFile(s.blobPath(h)); err == nil && hasDigest(onDisk, d) {
 			return d, nil
 		}
 		// Damaged or unreadable: fall through and rewrite.
@@ -247,7 +247,7 @@ func (s *Disk) Get(digest string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading %s: %w", digest, err)
 	}
-	if DigestOf(data) != digest {
+	if !hasDigest(data, digest) {
 		// Leave the damaged file for Put's self-healing rewrite, but stop
 		// advertising it: a federation peer must see the truthful
 		// inventory, and the next Put of this digest restores both.

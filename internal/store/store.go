@@ -42,8 +42,23 @@ var (
 
 // DigestOf computes the canonical "sha256:<hex>" content address.
 func DigestOf(data []byte) string {
+	var d [digestLen]byte
+	return string(appendDigest(d[:0], data))
+}
+
+// digestLen is the length of a "sha256:<hex>" digest.
+const digestLen = len("sha256:") + 2*sha256.Size
+
+func appendDigest(b, data []byte) []byte {
 	sum := sha256.Sum256(data)
-	return "sha256:" + hex.EncodeToString(sum[:])
+	return hex.AppendEncode(append(b, "sha256:"...), sum[:])
+}
+
+// hasDigest reports whether data hashes to digest: the verify half of
+// every read, which builds no digest string.
+func hasDigest(data []byte, digest string) bool {
+	var d [digestLen]byte
+	return string(appendDigest(d[:0], data)) == digest
 }
 
 // ValidDigest reports whether d is a well-formed "sha256:<hex>" content
@@ -122,7 +137,7 @@ func (m *Memory) Put(data []byte) (string, error) {
 	d := DigestOf(data)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if held, ok := m.blobs[d]; !ok || DigestOf(held) != d {
+	if held, ok := m.blobs[d]; !ok || !hasDigest(held, d) {
 		cp := make([]byte, len(data))
 		copy(cp, data)
 		m.blobs[d] = cp
@@ -143,7 +158,7 @@ func (m *Memory) Get(digest string) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, digest)
 	}
-	if DigestOf(data) != digest {
+	if !hasDigest(data, digest) {
 		return nil, fmt.Errorf("%w: %s", ErrCorrupt, digest)
 	}
 	out := make([]byte, len(data))

@@ -80,17 +80,18 @@ func (e *eventJSON) UnmarshalJSONL(o *jsonl.Object) error {
 	return err
 }
 
-// MarshalJSONL encodes the log as JSON lines in insertion order.
+// MarshalJSONL encodes the log as JSON lines in insertion order, each
+// event straight from the log's snapshot.
 func (l *Log) MarshalJSONL() ([]byte, error) {
 	events := l.snapshot()
-	out := make([]eventJSON, len(events))
-	for i, e := range events {
-		out[i] = eventJSON{
+	return jsonl.MarshalEach(len(events), func(b []byte, i int) ([]byte, error) {
+		e := &events[i]
+		ej := eventJSON{
 			AtNs: int64(e.At), Env: e.Env, Category: string(e.Category),
 			Severity: e.Severity.String(), Msg: e.Msg, Cost: e.Cost,
 		}
-	}
-	return jsonl.Marshal(out)
+		return ej.AppendJSONL(b)
+	})
 }
 
 // severityFromString inverts Severity.String.
