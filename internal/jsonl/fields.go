@@ -382,8 +382,8 @@ func (o *Object) StringMap(m map[string]string) map[string]string {
 		m = make(map[string]string)
 	}
 	for o.Next() {
-		k, ok := o.keyText()
-		if v := o.Text(); ok && o.err == nil {
+		k := o.keyText()
+		if v := o.Text(); o.err == nil {
 			m[k] = v
 		}
 	}
@@ -391,12 +391,12 @@ func (o *Object) StringMap(m map[string]string) map[string]string {
 }
 
 // keyText reads the current key as a string value, escapes decoded.
-func (o *Object) keyText() (string, bool) {
+func (o *Object) keyText() string {
 	pos := o.pos
 	o.pos = o.keyAt
-	k, ok := o.str()
+	k, _ := o.str() // a failure sticks in o.err
 	o.pos, o.pending = pos, true
-	return string(k), ok
+	return string(k)
 }
 
 // Text reads the current value as a string.
@@ -602,16 +602,22 @@ func (o *Object) number() (num []byte, integer, ok bool) {
 	return num, integer, true
 }
 
-// integer reads an integer value that fits in bits, as json.Unmarshal
-// reads one into a Go integer field: no fraction, no exponent.
-func (o *Object) integer(bits int) int64 {
-	at := o.pos
+// integerBytes reads an integer value's bytes and the offset they
+// start at, as json.Unmarshal reads one into a Go integer field: no
+// fraction, no exponent.
+func (o *Object) integerBytes() (num []byte, at int, ok bool) {
+	at = o.pos
 	num, integer, ok := o.number()
-	if !ok {
-		return 0
+	if ok && !integer {
+		return nil, at, o.fail(at, "expected an integer")
 	}
-	if !integer {
-		o.fail(at, "expected an integer")
+	return num, at, ok
+}
+
+// integer reads an integer value that fits in bits.
+func (o *Object) integer(bits int) int64 {
+	num, at, ok := o.integerBytes()
+	if !ok {
 		return 0
 	}
 	n, err := strconv.ParseInt(string(num), 10, bits)
@@ -628,16 +634,11 @@ func (o *Object) Int() int { return int(o.integer(strconv.IntSize)) }
 // Int64 reads the current value as an int64.
 func (o *Object) Int64() int64 { return o.integer(64) }
 
-// Uint64 reads the current value as a uint64, as json.Unmarshal reads
-// one into a uint64 field: no sign, no fraction, no exponent.
+// Uint64 reads the current value as a uint64: an integer without a
+// sign, as json.Unmarshal reads one into a uint64 field.
 func (o *Object) Uint64() uint64 {
-	at := o.pos
-	num, integer, ok := o.number()
+	num, at, ok := o.integerBytes()
 	if !ok {
-		return 0
-	}
-	if !integer {
-		o.fail(at, "expected an integer")
 		return 0
 	}
 	n, err := strconv.ParseUint(string(num), 10, 64)
