@@ -194,22 +194,29 @@ func TestRunnerSingleFlight(t *testing.T) {
 
 // TestRunnerSharedCtxErrorNotMemoized: cancelling the leading session
 // hands every concurrent caller the shared context error, and the
-// cancellation is not memoized — the next caller computes fresh.
+// cancellation is not memoized — the next caller computes fresh. The
+// study's first store Put is held until the leader is cancelled, so the
+// execution is provably in flight when the followers join and the
+// cancel lands, however the host schedules it.
 func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 880002, Workers: 1}
-	r := &Runner{}
+	dropCacheEntry(t, spec) // a memoized earlier run (-count) would make no Put
+	gate := &firstPutGate{BlobStore: store.NewMemory(), blocked: make(chan struct{}), release: make(chan struct{})}
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
+	defer release()
+	r := &Runner{Store: NewResultStore(gate), Logf: t.Logf}
 	leader, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ch, _ := leader.Subscribe()
-	// Wait until execution is demonstrably under way before attaching
-	// followers and cancelling.
-	for ev := range ch {
-		if ev.Kind == EventEnvStarted || ev.Kind == EventUnitStarted {
-			break
-		}
+	// The one worker is now inside the study's first unit save, and
+	// stays there until release.
+	select {
+	case <-gate.blocked:
+	case <-leader.Done():
+		t.Fatal("the study finished without a store Put")
 	}
 	var followers []*Session
 	for i := 0; i < 3; i++ {
@@ -220,6 +227,7 @@ func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
 		followers = append(followers, f)
 	}
 	leader.Cancel()
+	release()
 	if _, err := leader.Wait(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("leader Wait = %v, want context.Canceled", err)
 	}
@@ -233,6 +241,26 @@ func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
 	if err != nil || res == nil {
 		t.Fatalf("post-cancellation Run = (%v, %v), want a fresh dataset", res, err)
 	}
+}
+
+// firstPutGate holds the first Put into its store until release is
+// closed, closing blocked when that Put arrives.
+type firstPutGate struct {
+	store.BlobStore
+	once             sync.Once
+	blocked, release chan struct{}
+}
+
+func (g *firstPutGate) Put(data []byte) (string, error) {
+	first := false
+	g.once.Do(func() {
+		first = true
+		close(g.blocked)
+	})
+	if first {
+		<-g.release
+	}
+	return g.BlobStore.Put(data)
 }
 
 // TestRunnerFollowerDetachesOnOwnCtx: a follower whose own context is
