@@ -580,8 +580,9 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 // what watching a session costs. Cold is BenchmarkStudyStoreCold's exact
 // workload — full compute serialized into a fresh on-disk store —
 // started as a session with no subscribers: it should read within noise
-// (≤2%) of the store-cold number, because unobserved sessions pay only
-// atomic counters. Subscribed attaches one actively-draining subscriber
+// (≤2%) of the store-cold number, because an unobserved session pays one
+// short critical section per event to number it and keep it for replay.
+// Subscribed attaches one actively-draining subscriber
 // to the same workload, the upper bound anyone pays for watching a study
 // live.
 func BenchmarkRunnerStudyCold(b *testing.B) {

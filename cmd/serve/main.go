@@ -29,7 +29,7 @@
 // Usage:
 //
 //	serve [-http ADDR] [-store DIR] [-fleet] [-lease DUR] [-straggler DUR]
-//	      [-drain wait|cancel] [-replay N]
+//	      [-drain wait|cancel]
 //	serve -connect URL -spec FILE [-after N]      # client: submit + stream events
 //	serve -connect URL -stop                      # client: drain and stop the daemon
 //	serve -sync URL -store DIR                    # client: reconcile stores (push, then pull)
@@ -59,7 +59,6 @@ func main() {
 	httpAddr := flag.String("http", "", "serve over HTTP on this address (e.g. 127.0.0.1:8787) instead of stdio")
 	store := flag.String("store", "", "persistent result store directory shared by every session")
 	drain := flag.String("drain", rpc.DrainWait, `shutdown drain policy: "wait" lets running studies finish, "cancel" cancels them first`)
-	replay := flag.Int("replay", 0, fmt.Sprintf("per-session replay-ring bound for reattaching subscribers (0 = %d)", rpc.DefaultServerReplay))
 	fleetOn := flag.Bool("fleet", false, "coordinate remote unit workers (needs -store: the store is the artifact exchange)")
 	lease := flag.Duration("lease", 0, fmt.Sprintf("fleet lease TTL before an unheartbeated unit re-queues (0 = %s)", fleet.DefaultLeaseTTL))
 	straggler := flag.Duration("straggler", 0, fmt.Sprintf("longest a study waits on the fleet per unit before computing locally (0 = %s)", fleet.DefaultStraggler))
@@ -121,12 +120,12 @@ func main() {
 		if rs, err = core.OpenResultStore(*store); err != nil {
 			cli.Fail("serve", err)
 		}
+		rs.Logf = logf
 	}
 	runner := &core.Runner{Store: rs}
 	srv := &rpc.Server{
 		Runner: runner,
 		Drain:  *drain,
-		Replay: *replay,
 		Logf:   logf,
 		Info:   rpc.Implementation{Name: "cloudhpc-serve"},
 	}

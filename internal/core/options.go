@@ -41,13 +41,6 @@ type Options struct {
 	// shard aborts against its share — the provider-wide cap holds in
 	// aggregate.
 	AbortOverBudget bool
-	// ReplayEvents bounds the number of events a Runner session retains
-	// for replay to late or reattaching subscribers (see
-	// Session.SubscribeFrom); 0 means DefaultReplayEvents. It is an
-	// observation knob, not an execution one: the dataset does not
-	// depend on it, so a Runner.Configure that changes only this field
-	// keeps the cached study tiers (unlike every other option).
-	ReplayEvents int
 	// Chaos, when non-nil, enables the deterministic fault-injection
 	// engine: each environment shard draws scenario faults (spot
 	// reclaims, stockouts, quota revocations, network degradation,

@@ -177,18 +177,6 @@ func (rs *ResultStore) logf(format string, args ...any) {
 	}
 }
 
-// logvia routes a warning through an injected per-run logger when one is
-// set (Runner.Logf → study.Logf → here), else through the store's own
-// Logf — the hook that lets a service embedder capture persist warnings
-// without touching the shared store's default.
-func (rs *ResultStore) logvia(logf func(format string, args ...any), format string, args ...any) {
-	if logf != nil {
-		logf(format, args...)
-		return
-	}
-	rs.logf(format, args...)
-}
-
 // studyMeta is the "meta.json" of a study bundle: everything in Results
 // that is not runs, trace, or billing ledger.
 type studyMeta struct {
@@ -267,12 +255,6 @@ func (rs *ResultStore) SaveStudy(r *ResolvedSpec, res *Results) error {
 // schema drift, torn write) is a logged warning and a miss — the caller
 // falls back to compute.
 func (rs *ResultStore) LoadStudy(r *ResolvedSpec) (*Results, bool) {
-	return rs.loadStudyVia(r, nil)
-}
-
-// loadStudyVia is LoadStudy with an injectable warning logger (nil means
-// the store's own).
-func (rs *ResultStore) loadStudyVia(r *ResolvedSpec, logf func(format string, args ...any)) (*Results, bool) {
 	key := r.Hash()
 	files, err := rs.reg.Pull("study/" + key)
 	if errors.Is(err, oras.ErrTagUnknown) {
@@ -282,18 +264,18 @@ func (rs *ResultStore) loadStudyVia(r *ResolvedSpec, logf func(format string, ar
 	if err != nil {
 		rs.corrupt.Add(1)
 		rs.studyMisses.Add(1)
-		rs.logvia(logf, "core: result store: study/%s unreadable (%v); falling back to compute", key, err)
+		rs.logf("core: result store: study/%s unreadable (%v); falling back to compute", key, err)
 		return nil, false
 	}
 	res, err := decodeStudy(r, key, files)
 	if err != nil {
 		rs.corrupt.Add(1)
 		rs.studyMisses.Add(1)
-		rs.logvia(logf, "core: result store: study/%s undecodable (%v); falling back to compute", key, err)
+		rs.logf("core: result store: study/%s undecodable (%v); falling back to compute", key, err)
 		return nil, false
 	}
 	rs.studyHits.Add(1)
-	rs.logvia(logf, "core: result store: warm hit study/%s", key)
+	rs.logf("core: result store: warm hit study/%s", key)
 	return res, true
 }
 
@@ -442,16 +424,15 @@ func unitKey(seed uint64, env apps.EnvSpec, app string, iterations int, chaosSli
 	return string(key[:])
 }
 
-// saveUnit archives one computed unit. Failures are warnings (routed
-// through logf when injected): a unit that fails to store just
-// recomputes next time.
-func (rs *ResultStore) saveUnit(meta dataset.UnitMeta, u *unitPlan, logf func(format string, args ...any)) {
+// saveUnit archives one computed unit. Failures are warnings: a unit
+// that fails to store just recomputes next time.
+func (rs *ResultStore) saveUnit(meta dataset.UnitMeta, u *unitPlan) {
 	files, err := unitFiles(meta, u)
 	if err == nil {
 		_, err = rs.reg.Push("unit/"+meta.Key, dataset.UnitArtifactType, files, nil)
 	}
 	if err != nil {
-		rs.logvia(logf, "core: result store: storing unit/%s failed: %v", meta.Key, err)
+		rs.logf("core: result store: storing unit/%s failed: %v", meta.Key, err)
 	}
 }
 
@@ -475,14 +456,13 @@ func unitFiles(meta dataset.UnitMeta, u *unitPlan) (map[string][]byte, error) {
 }
 
 // loadUnit returns the archived unit plan for a key, or (nil, false) on
-// a miss; unreadable or mismatched artifacts warn (through logf when
-// injected) and miss. The decoded
+// a miss; unreadable or mismatched artifacts warn and miss. The decoded
 // runs are validated against the exact (nodes, iter) schedule the
 // environment assembly will replay — a stale artifact that still
 // decodes (a draw-schedule change not captured by the key or a schema
 // bump) must degrade to recompute here, because once handed to the
 // assembly an out-of-step plan fails the whole study.
-func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterations int, logf func(format string, args ...any)) (*unitPlan, bool) {
+func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterations int) (*unitPlan, bool) {
 	files, err := rs.reg.Pull("unit/" + key)
 	if errors.Is(err, oras.ErrTagUnknown) {
 		rs.unitMisses.Add(1)
@@ -491,7 +471,7 @@ func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterat
 	if err != nil {
 		rs.corrupt.Add(1)
 		rs.unitMisses.Add(1)
-		rs.logvia(logf, "core: result store: unit/%s unreadable (%v); recomputing", key, err)
+		rs.logf("core: result store: unit/%s unreadable (%v); recomputing", key, err)
 		return nil, false
 	}
 	meta, cur, err := dataset.UnitCursor(files)
@@ -505,7 +485,7 @@ func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterat
 	if err != nil {
 		rs.corrupt.Add(1)
 		rs.unitMisses.Add(1)
-		rs.logvia(logf, "core: result store: unit/%s undecodable (%v); recomputing", key, err)
+		rs.logf("core: result store: unit/%s undecodable (%v); recomputing", key, err)
 		return nil, false
 	}
 	rs.unitHits.Add(1)

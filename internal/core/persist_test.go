@@ -16,6 +16,7 @@ import (
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/chaos"
 	"cloudhpc/internal/dataset"
+	"cloudhpc/internal/network"
 	"cloudhpc/internal/oras"
 	"cloudhpc/internal/store"
 )
@@ -54,9 +55,10 @@ func dropCacheEntry(t *testing.T, spec *StudySpec) string {
 //  2. a warm whole-study load (decode, no compute);
 //  3. an incremental rerun that finds the units stored but not the study
 //     bundle, so every unit decodes from the store while the lifecycle
-//     replays — the compute probe must read zero. It runs between path 1
-//     and the SaveStudy that path 2 loads, the one window in which the
-//     units are stored and the bundle is not.
+//     replays — it must add no unit miss (with no fleet attached, a unit
+//     computes exactly when the store counts a miss). It runs between
+//     path 1 and the SaveStudy that path 2 loads, the one window in which
+//     the units are stored and the bundle is not.
 func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 	t.Parallel()
 	golden, err := os.ReadFile(filepath.Join("testdata", "golden_seed2025.txt"))
@@ -99,6 +101,7 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 				if got := goldenSnapshot(resCold); got != base {
 					t.Fatalf("w=%d: cold store-attached dataset diverged from baseline", w)
 				}
+				coldMisses := rs.Stats().UnitMisses
 
 				// Path 3: incremental — units present, bundle not yet saved.
 				if _, ok := rs.LoadStudy(r); ok {
@@ -112,10 +115,10 @@ func TestStoreWarmAndIncrementalByteIdenticalSweep(t *testing.T) {
 				if got := goldenSnapshot(resInc); got != base {
 					t.Fatalf("w=%d: unit-reuse dataset not byte-identical", w)
 				}
-				if n := stInc.unitComputes.Load(); n != 0 {
+				if n := rs.Stats().UnitMisses - coldMisses; n != 0 {
 					t.Fatalf("w=%d: incremental rerun recomputed %d units, want 0", w, n)
 				}
-				if stCold.unitComputes.Load() == 0 {
+				if coldMisses == 0 {
 					t.Fatalf("w=%d: cold run computed no units — probe is broken", w)
 				}
 
@@ -149,8 +152,9 @@ func TestStoreIncrementalOneEnvEdit(t *testing.T) {
 	if _, err := stA.runSession(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if n := stA.unitComputes.Load(); n != int64(2*models) {
-		t.Fatalf("first run computed %d units, want %d", n, 2*models)
+	missesA := rs.Stats().UnitMisses
+	if missesA != int64(2*models) {
+		t.Fatalf("first run computed %d units, want %d", missesA, 2*models)
 	}
 
 	// Edit one env: google-gke-cpu → azure-aks-cpu. aws-eks-cpu's units
@@ -161,7 +165,7 @@ func TestStoreIncrementalOneEnvEdit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := stB.unitComputes.Load(); n != int64(models) {
+	if n := rs.Stats().UnitMisses - missesA; n != int64(models) {
 		t.Fatalf("one-env edit recomputed %d units, want exactly %d (the edited env's)", n, models)
 	}
 	if hits := rs.Stats().UnitHits; hits != int64(models) {
@@ -399,8 +403,8 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stale unit artifact must fall back to compute, got: %v", err)
 	}
-	if st.unitComputes.Load() != 1 || rs.Stats().CorruptFallbacks == 0 {
-		t.Fatalf("fallback not taken: computes=%d stats=%+v", st.unitComputes.Load(), rs.Stats())
+	if s := rs.Stats(); s.UnitMisses != 1 || s.CorruptFallbacks == 0 {
+		t.Fatalf("fallback not taken: stats=%+v", s)
 	}
 	// And the dataset matches a store-free run.
 	stPlain, _ := newTestStudy(t, spec, nil)
@@ -410,6 +414,80 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 	}
 	if goldenSnapshot(res) != goldenSnapshot(resPlain) {
 		t.Fatal("fallback dataset drifted")
+	}
+}
+
+// TestUnitRecordCountMismatchFallsBack: a unit artifact whose records
+// follow the planned schedule but whose unit.json claims one record
+// more is refused by loadUnit ("unit holds N records, metadata says
+// M"), counted as corrupt, recomputed to the store-free bytes, and
+// stored again whole.
+func TestUnitRecordCountMismatchFallsBack(t *testing.T) {
+	t.Parallel()
+	rs, _ := quietStore(t)
+	var mu sync.Mutex
+	var warnings []string
+	rs.Logf = func(format string, args ...any) {
+		mu.Lock()
+		warnings = append(warnings, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	env, err := apps.EnvByKey("onprem-a-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models, err := apps.SelectModels([]string{"stream"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := planUnit(771007, env, models[0], Iterations, network.NewHookupModel())
+	key := UnitKey(771007, env, "stream", Iterations, nil)
+	files, err := unitFiles(dataset.UnitMeta{
+		Version: storeSchemaVersion, Key: key, Seed: 771007,
+		Env: env.Key, App: "stream", Iterations: Iterations,
+	}, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(u.runs)
+	claim := fmt.Appendf(nil, `"records":%d`, n)
+	if !bytes.Contains(files["unit.json"], claim) {
+		t.Fatalf("unit.json %s does not hold %s", files["unit.json"], claim)
+	}
+	files["unit.json"] = bytes.Replace(files["unit.json"], claim, fmt.Appendf(nil, `"records":%d`, n+1), 1)
+	if _, err := rs.Registry().Push("unit/"+key, dataset.UnitArtifactType, files, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	spec := &StudySpec{Seed: 771007, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream"}}
+	st, _ := newTestStudy(t, spec, rs)
+	res, err := st.runSession(context.Background(), nil)
+	if err != nil {
+		t.Fatalf("a unit with a wrong record count must fall back to compute, got: %v", err)
+	}
+	if s := rs.Stats(); s.UnitHits != 0 || s.UnitMisses != 1 || s.CorruptFallbacks != 1 {
+		t.Fatalf("the unit was not refused: stats=%+v", s)
+	}
+	mu.Lock()
+	want := fmt.Sprintf("unit holds %d records, metadata says %d", n, n+1)
+	found := false
+	for _, w := range warnings {
+		found = found || strings.Contains(w, want)
+	}
+	mu.Unlock()
+	if !found {
+		t.Fatalf("no warning naming %q; warnings: %v", want, warnings)
+	}
+	stPlain, _ := newTestStudy(t, spec, nil)
+	resPlain, err := stPlain.runSession(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if goldenSnapshot(res) != goldenSnapshot(resPlain) {
+		t.Fatal("fallback dataset drifted")
+	}
+	if _, ok := rs.loadUnit(key, env, "stream", Iterations); !ok {
+		t.Fatal("the recomputed unit was not stored again")
 	}
 }
 

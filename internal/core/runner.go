@@ -9,7 +9,7 @@ import (
 // into datasets through the memory → store → compute tiers, with context
 // cancellation, single-flight deduplication, and — via Start — an
 // observable Session per execution. The zero value is ready to use: no
-// persistent store, warnings to the store's own logger.
+// persistent store.
 //
 // Run and Start are safe for concurrent use. Concurrent calls for the
 // same resolved spec share one execution: one caller leads (computes or
@@ -22,21 +22,12 @@ type Runner struct {
 	// tools pass their -store flag's handle here). Nil disables the
 	// persistent tier: memory → compute.
 	Store *ResultStore
-	// Logf, when non-nil, receives the store/persist warnings (corrupt
-	// artifacts, failed saves, warm-hit notices) raised by this runner's
-	// executions instead of the store's own logger — the injection point
-	// for service embedders that must capture them. Nil keeps the default
-	// (ResultStore.Logf, which itself defaults to log.Printf).
-	Logf func(format string, args ...any)
 	// Configure, when non-nil, adjusts each study's Options before
 	// execution — the hook for the non-spec knobs (pauses, test clusters,
 	// budget aborts). Such datasets depend on more than the spec, so a
 	// configured runner bypasses the memory and study-store tiers
 	// entirely (unit draws still flow through the unit tier: units
-	// depend only on spec-sliced inputs). The one exception is the
-	// observation-only Options.ReplayEvents: a Configure that changes
-	// nothing else keeps every cached tier, because the dataset does not
-	// depend on how many events a session retains for replay.
+	// depend only on spec-sliced inputs).
 	Configure func(*Options)
 	// Fleet, when non-nil, is the work-distribution delegate attached to
 	// every study this runner executes (effective only when a result
@@ -85,26 +76,16 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 	sess := newSession(cancel)
 
 	if r.Configure != nil {
-		// Apply the hook to a probe copy of the options the study would
-		// start with, so observation-only configuration (ReplayEvents)
-		// can be told apart from dataset-affecting configuration.
-		base := Options{Workers: spec.Workers, Chaos: rspec.Plan}
-		opts := base
-		r.Configure(&opts)
-		sess.setReplayBound(opts.ReplayEvents)
-		if !observationOnlyConfigure(base, opts) {
-			// Non-spec options: the dataset depends on more than the
-			// spec, so it is never served from, or memoized into, the
-			// study tiers.
-			st := r.studyFor(rspec, spec)
-			st.Opts = opts
-			go func() {
-				defer cancel()
-				res, err := st.runSession(runCtx, sess)
-				sess.finish(res, err)
-			}()
-			return sess, nil
-		}
+		// Non-spec options: the dataset depends on more than the spec,
+		// so it is never served from, or memoized into, the study tiers.
+		st := r.studyFor(rspec, spec)
+		r.Configure(&st.Opts)
+		go func() {
+			defer cancel()
+			res, err := st.runSession(runCtx, sess)
+			sess.finish(res, err)
+		}()
+		return sess, nil
 	}
 
 	key := rspec.Hash()
@@ -124,21 +105,11 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 }
 
 // studyFor builds a fresh study for one computed run, wired to the
-// runner's store, logger, and fleet.
+// runner's store and fleet.
 func (r *Runner) studyFor(rspec *ResolvedSpec, spec *StudySpec) *study {
 	st := newStudy(rspec, spec)
-	st.Store, st.Logf, st.Fleet = r.Store, r.Logf, r.Fleet
+	st.Store, st.Fleet = r.Store, r.Fleet
 	return st
-}
-
-// observationOnlyConfigure reports whether a Configure hook changed
-// nothing but observation knobs (ReplayEvents): such runs still execute
-// exactly the spec's dataset, so they keep the memory and study-store
-// tiers — a service embedder can widen every session's replay window
-// without giving up single-flight or warm loads.
-func observationOnlyConfigure(base, configured Options) bool {
-	base.ReplayEvents, configured.ReplayEvents = 0, 0
-	return base == configured
 }
 
 // lead runs the single-flight execution for a cache entry: store tier
@@ -152,7 +123,7 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 	var res *Results
 	var err error
 	if rs != nil {
-		if warm, ok := rs.loadStudyVia(rspec, r.Logf); ok {
+		if warm, ok := rs.LoadStudy(rspec); ok {
 			res = warm
 			sess.emit(Event{Kind: EventStudyCached, Tier: "store"})
 		}
@@ -161,7 +132,7 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 		res, err = r.studyFor(rspec, spec).runSession(ctx, sess)
 		if err == nil && rs != nil {
 			if serr := rs.SaveStudy(rspec, res); serr != nil {
-				rs.logvia(r.Logf, "core: result store: saving study/%s failed: %v", key, serr)
+				rs.logf("core: result store: saving study/%s failed: %v", key, serr)
 			}
 		}
 	}

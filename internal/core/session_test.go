@@ -13,12 +13,11 @@ import (
 func TestSubscribeFromResumesExactly(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 770001, Workers: 1}
-	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = 1 << 14 }}
+	r := &Runner{}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Retain()
 	full := collectEvents(sess.SubscribeFrom(0).Events)
 
 	// A second subscriber reads a prefix, detaches, then resumes.
@@ -59,52 +58,48 @@ func TestSubscribeFromResumesExactly(t *testing.T) {
 	}
 }
 
-// TestReplayRingOverflowCounted pins the satellite fix: the replay bound
-// is configurable through Runner.Configure, and overflowing it is
-// counted — a subscriber whose cursor predates the retained window is
-// told exactly how many events it can never see, instead of a silent
-// gap.
+// TestReplayRingOverflowCounted: overflowing the replay ring is
+// counted — a subscriber whose cursor predates the kept window is told
+// exactly how many events it can never see, instead of a silent gap. The
+// session emits ReplayEvents+extra events after a plan-size hint far
+// below that, so the ring also outgrows its hint.
 func TestReplayRingOverflowCounted(t *testing.T) {
 	t.Parallel()
-	const bound = 8
-	spec := &StudySpec{Seed: 770002, Workers: 1}
-	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = bound }}
-	sess, err := r.Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+	const extra = 8
+	sess := newSession(func() {})
+	sess.setTotal(1)
+	for i := 0; i < ReplayEvents+extra-1; i++ {
+		sess.emit(Event{Kind: EventEnvStarted})
 	}
-	sess.Retain()
-	if _, err := sess.Wait(); err != nil {
-		t.Fatal(err)
-	}
+	sess.finish(&Results{}, nil)
 	last := sess.Seq()
-	if last <= bound {
-		t.Fatalf("study emitted only %d events; the overflow test needs more than %d", last, bound)
+	if last != ReplayEvents+extra {
+		t.Fatalf("session numbered %d events, want %d", last, ReplayEvents+extra)
 	}
 	sub := sess.SubscribeFrom(0)
 	var got []Event
 	for ev := range sub.Events {
 		got = append(got, ev)
 	}
-	if len(got) != bound {
-		t.Fatalf("replay after overflow = %d events, want the ring bound %d", len(got), bound)
+	if len(got) != ReplayEvents {
+		t.Fatalf("replay after overflow = %d events, want the ring bound %d", len(got), ReplayEvents)
 	}
-	if want := last - bound; sub.Missed != want {
-		t.Fatalf("Missed = %d, want %d (emitted %d, retained %d)", sub.Missed, want, last, bound)
+	if want := last - ReplayEvents; sub.Missed != want {
+		t.Fatalf("Missed = %d, want %d (emitted %d, kept %d)", sub.Missed, want, last, ReplayEvents)
 	}
 	if sess.Lost() != sub.Missed {
 		t.Fatalf("Session.Lost = %d, Subscription.Missed = %d: the counters must agree from seq 0", sess.Lost(), sub.Missed)
 	}
-	// The retained window is the newest tail, ending at the closing event.
+	// The kept window is the newest tail, ending at the closing event.
 	if got[len(got)-1].Seq != last || got[len(got)-1].Kind != EventStudyFinished {
 		t.Fatalf("ring tail = seq %d %s, want seq %d %s", got[len(got)-1].Seq, got[len(got)-1].Kind, last, EventStudyFinished)
 	}
 	for i := 1; i < len(got); i++ {
 		if got[i].Seq != got[i-1].Seq+1 {
-			t.Fatalf("retained window must be contiguous: seq %d follows %d", got[i].Seq, got[i-1].Seq)
+			t.Fatalf("kept window must be contiguous: seq %d follows %d", got[i].Seq, got[i-1].Seq)
 		}
 	}
-	// A cursor inside the retained window resumes cleanly.
+	// A cursor inside the kept window resumes cleanly.
 	mid := sess.SubscribeFrom(got[3].Seq)
 	if mid.Missed != 0 {
 		t.Fatalf("in-window cursor missed %d events", mid.Missed)
@@ -113,64 +108,8 @@ func TestReplayRingOverflowCounted(t *testing.T) {
 	for range mid.Events {
 		n++
 	}
-	if n != bound-4 {
-		t.Fatalf("in-window resume delivered %d events, want %d", n, bound-4)
-	}
-}
-
-// TestNeverSubscribedSessionCountsOverflow: a session nobody subscribes
-// to stops recording at the ring bound (the cheap path), but the
-// overflow is counted, not silent — a late first subscriber learns how
-// many events are gone.
-func TestNeverSubscribedSessionCountsOverflow(t *testing.T) {
-	t.Parallel()
-	const bound = 4
-	spec := &StudySpec{Seed: 770003, Workers: 1}
-	r := &Runner{Configure: func(o *Options) { o.ReplayEvents = bound }}
-	sess, err := r.Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sess.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sub := sess.SubscribeFrom(0)
-	var got []Event
-	for ev := range sub.Events {
-		got = append(got, ev)
-	}
-	if len(got) != bound {
-		t.Fatalf("late subscriber replayed %d events, want the opening %d", len(got), bound)
-	}
-	// Without Retain the ring keeps the opening events, so the retained
-	// window starts at seq 1 and the missed tail follows it.
-	if got[0].Seq != 1 {
-		t.Fatalf("opening capture starts at seq %d, want 1", got[0].Seq)
-	}
-	if want := sess.Seq() - bound; sub.Missed != want || sub.Missed == 0 {
-		t.Fatalf("Missed = %d, want %d", sub.Missed, want)
-	}
-}
-
-// TestObservationOnlyConfigureKeepsCacheTiers: a Configure hook that
-// changes only Options.ReplayEvents still rides the spec-keyed memory
-// tier — same shared *Results as an unconfigured runner — because the
-// dataset does not depend on observation knobs.
-func TestObservationOnlyConfigureKeepsCacheTiers(t *testing.T) {
-	t.Parallel()
-	spec := &StudySpec{Seed: 770004, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1}
-	plain := &Runner{}
-	base, err := plain.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	observing := &Runner{Configure: func(o *Options) { o.ReplayEvents = 4096 }}
-	res, err := observing.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != base {
-		t.Fatal("observation-only Configure fell off the memory tier: got a recomputed dataset")
+	if n != ReplayEvents-4 {
+		t.Fatalf("in-window resume delivered %d events, want %d", n, ReplayEvents-4)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"cloudhpc/internal/apps"
@@ -56,13 +55,8 @@ type shard struct {
 	// planned holds the per-application unit outputs the shard's runs
 	// draw from (see unit.go), indexed like models.
 	planned []*unitPlan
-	// store, when non-nil, serves and receives unit plans; computes counts
-	// the units this shard actually computed, shared with the parent
-	// study's probe. logf overrides the store's own warning logger when
-	// the study injected one.
-	store    *ResultStore
-	computes *atomic.Int64
-	logf     func(format string, args ...any)
+	// store, when non-nil, serves and receives unit plans.
+	store *ResultStore
 	// unitChaos is the environment's chaos-plan slice in plan-file
 	// syntax (unitChaosText), rendered once for every unit key and
 	// fleet work tuple of the shard; empty without a store.
@@ -132,8 +126,6 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 		iterations: st.Iterations,
 		planned:    make([]*unitPlan, len(st.Models)),
 		store:      st.Store,
-		computes:   &st.unitComputes,
-		logf:       st.Logf,
 		fleet:      st.Fleet,
 		res: &Results{
 			// Sized to the shard's full schedule (scale skips only leave

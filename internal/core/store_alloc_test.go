@@ -80,10 +80,10 @@ func TestUnitArtifactAllocs(t *testing.T) {
 		Env: env.Key, App: "lammps", Iterations: Iterations}
 	rs := NewResultStore(store.NewMemory())
 	rs.Logf = t.Logf
-	const ceiling = 75
+	const ceiling = 62
 	got := testing.AllocsPerRun(20, func() {
-		rs.saveUnit(meta, u, nil)
-		if _, ok := rs.loadUnit(key, env, "lammps", Iterations, nil); !ok {
+		rs.saveUnit(meta, u)
+		if _, ok := rs.loadUnit(key, env, "lammps", Iterations); !ok {
 			t.Fatal("stored unit did not load")
 		}
 	})
@@ -134,7 +134,6 @@ func TestSubscribeFinishedSessionAllocsBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess.Retain()
 	if _, err := sess.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -47,22 +47,12 @@ type study struct {
 	// decoded instead of recomputed, and computed units are stored for
 	// the next study. Runner.Store is the only way one gets here.
 	Store *ResultStore
-	// Logf, when non-nil, receives the store/persist warnings this
-	// study's execution raises (corrupt unit artifacts, failed saves)
-	// instead of the store's own logger. Runner plumbs its injected
-	// logger through here; nil keeps the store default.
-	Logf func(format string, args ...any)
 	// Fleet, when non-nil (and a Store is attached — the store is the
 	// artifact exchange), offloads units that miss the memory and store
 	// tiers to remote workers instead of computing them on the local
 	// pool. The delegate decides per unit; a refusal falls back to local
 	// compute, so execution never depends on fleet availability.
 	Fleet FleetDelegate
-
-	// unitComputes counts (env, app) unit precomputations this study
-	// actually performed — the compute probe the incremental-execution
-	// tests assert against (store-served units don't count).
-	unitComputes atomic.Int64
 }
 
 // RunRecord is one application execution in the study dataset.

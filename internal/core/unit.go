@@ -139,7 +139,7 @@ func (sh *shard) ensureUnit(appIdx int) EventKind {
 	var key string
 	if sh.store != nil {
 		key = unitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.unitChaos)
-		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations, sh.logf); ok {
+		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations); ok {
 			sh.planned[appIdx] = u
 			return EventUnitCached
 		}
@@ -150,13 +150,12 @@ func (sh *shard) ensureUnit(appIdx int) EventKind {
 			}
 		}
 	}
-	sh.computes.Add(1)
 	u := planUnit(sh.sim.Seed(), sh.spec, m, sh.iterations, sh.hookup)
 	if sh.store != nil {
 		sh.store.saveUnit(dataset.UnitMeta{
 			Version: storeSchemaVersion, Key: key, Seed: sh.sim.Seed(),
 			Env: sh.spec.Key, App: m.Name(), Iterations: sh.iterations,
-		}, u, sh.logf)
+		}, u)
 	}
 	sh.planned[appIdx] = u
 	return EventUnitFinished
@@ -176,7 +175,7 @@ func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
 	if !sh.fleet.Offload(sh.ctx, sh.unitWork(key, app), observe) {
 		return nil, false
 	}
-	return sh.store.loadUnit(key, sh.spec, app, sh.iterations, sh.logf)
+	return sh.store.loadUnit(key, sh.spec, app, sh.iterations)
 }
 
 // resolveUnit is ensureUnit bracketed by its observation events: one

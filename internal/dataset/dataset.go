@@ -209,7 +209,7 @@ func MarshalUnit(meta UnitMeta, n int, rec func(i int) Record) (map[string][]byt
 // each record in a single pass instead of materializing the full record
 // slice first. The metadata's record count is not pre-validated here —
 // the cursor has not seen the records yet; callers confirm it as they
-// drain (UnmarshalUnit does exactly that).
+// drain.
 func UnitCursor(files map[string][]byte) (UnitMeta, *jsonl.Decoder[Record], error) {
 	var meta UnitMeta
 	mj, ok := files["unit.json"]
@@ -224,31 +224,6 @@ func UnitCursor(files map[string][]byte) (UnitMeta, *jsonl.Decoder[Record], erro
 		return meta, nil, fmt.Errorf("dataset: unit artifact has no runs.jsonl")
 	}
 	return meta, jsonl.NewDecoder[Record]("dataset", rj), nil
-}
-
-// UnmarshalUnit decodes a unit artifact's files, validating the record
-// count against the metadata.
-func UnmarshalUnit(files map[string][]byte) (UnitMeta, []Record, error) {
-	meta, cur, err := UnitCursor(files)
-	if err != nil {
-		return meta, nil, err
-	}
-	recs := make([]Record, 0, meta.Records)
-	for {
-		rec, ok, err := cur.Next()
-		if err != nil {
-			return meta, nil, err
-		}
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	if len(recs) != meta.Records {
-		return meta, nil, fmt.Errorf("dataset: unit %s/%s holds %d records, metadata says %d",
-			meta.Env, meta.App, len(recs), meta.Records)
-	}
-	return meta, recs, nil
 }
 
 // Push archives run records into the registry, one artifact per

@@ -311,32 +311,35 @@ func (r *Registry) ReconcileRefs(refs map[string]string) (applied, skipped int, 
 // the caller.
 const largeLayer = 64 << 10
 
-// eachLayer calls do(i) for i in [0, n): on a goroutine of its own when
-// size(i) is at least largeLayer, else on the caller. It returns once
-// every call has. At most GOMAXPROCS such goroutines run at once: a
-// pulled manifest's layer list is input, as long as it likes.
-func eachLayer(n int, size func(i int) int64, do func(i int)) {
-	var (
-		wg   sync.WaitGroup
-		busy chan struct{}
-	)
-	for i := 0; i < n; i++ {
-		if size(i) < largeLayer {
-			do(i)
-			continue
-		}
-		if busy == nil {
-			busy = make(chan struct{}, runtime.GOMAXPROCS(0))
-		}
-		busy <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			do(i)
-			<-busy
-		}()
+// layerGroup bounds the goroutines of one Push or pull's large layers
+// at GOMAXPROCS: a pulled manifest's layer list is input, as long as it
+// likes. Each goroutine is handed its result slots and the group's done
+// channel, which is made only when a large layer exists, so an artifact
+// of small layers starts no goroutine and allocates nothing for one.
+type layerGroup struct {
+	done    chan struct{}
+	running int
+}
+
+// slot makes room for one more goroutine, waiting for a running one to
+// end if GOMAXPROCS are, and returns the channel it signals at its end.
+func (g *layerGroup) slot() chan<- struct{} {
+	if g.done == nil {
+		g.done = make(chan struct{}, runtime.GOMAXPROCS(0))
 	}
-	wg.Wait()
+	if g.running == cap(g.done) {
+		<-g.done
+		g.running--
+	}
+	g.running++
+	return g.done
+}
+
+// wait returns once every goroutine the group started has ended.
+func (g *layerGroup) wait() {
+	for ; g.running > 0; g.running-- {
+		<-g.done
+	}
 }
 
 // firstErr returns the first non-nil error, in layer order.
@@ -369,15 +372,15 @@ func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annot
 	sort.Strings(names)
 	m := Manifest{ArtifactType: artifactType, Layers: make([]Descriptor, len(names)), Annotations: annotations}
 	errs := make([]error, len(names))
-	eachLayer(len(names), func(i int) int64 { return int64(len(files[names[i]])) }, func(i int) {
-		data := files[names[i]]
-		dig, err := r.blobs.Put(data)
-		m.Layers[i] = Descriptor{
-			MediaType: "application/octet-stream", Digest: Digest(dig), Size: int64(len(data)),
-			Annotations: map[string]string{"org.opencontainers.image.title": names[i]},
+	var g layerGroup
+	for i, name := range names {
+		if data := files[name]; len(data) < largeLayer {
+			r.putLayer(&m.Layers[i], &errs[i], name, data, nil)
+		} else {
+			go r.putLayer(&m.Layers[i], &errs[i], name, data, g.slot())
 		}
-		errs[i] = err
-	})
+	}
+	g.wait()
 	if err := firstErr(errs); err != nil {
 		return "", err
 	}
@@ -394,6 +397,20 @@ func (r *Registry) Push(tag, artifactType string, files map[string][]byte, annot
 		return "", err
 	}
 	return Digest(dig), nil
+}
+
+// putLayer stores one file as a layer into its descriptor and error
+// slots, then signals done when it runs on a goroutine of its own.
+func (r *Registry) putLayer(l *Descriptor, errp *error, name string, data []byte, done chan<- struct{}) {
+	dig, err := r.blobs.Put(data)
+	*l = Descriptor{
+		MediaType: "application/octet-stream", Digest: Digest(dig), Size: int64(len(data)),
+		Annotations: map[string]string{"org.opencontainers.image.title": name},
+	}
+	*errp = err
+	if done != nil {
+		done <- struct{}{}
+	}
 }
 
 // Pull fetches all files of a tagged artifact.
@@ -425,9 +442,15 @@ func (r *Registry) pullLocked(d Digest) (map[string][]byte, error) {
 	}
 	blobs := make([][]byte, len(m.Layers))
 	errs := make([]error, len(m.Layers))
-	eachLayer(len(m.Layers), func(i int) int64 { return m.Layers[i].Size }, func(i int) {
-		blobs[i], errs[i] = r.fetchBlobLocked(m.Layers[i].Digest)
-	})
+	var g layerGroup
+	for i := range m.Layers {
+		if l := &m.Layers[i]; l.Size < largeLayer {
+			r.fetchLayer(&blobs[i], &errs[i], l.Digest, nil)
+		} else {
+			go r.fetchLayer(&blobs[i], &errs[i], l.Digest, g.slot())
+		}
+	}
+	g.wait()
 	if err := firstErr(errs); err != nil {
 		return nil, err
 	}
@@ -440,6 +463,15 @@ func (r *Registry) pullLocked(d Digest) (map[string][]byte, error) {
 		out[name] = blobs[i]
 	}
 	return out, nil
+}
+
+// fetchLayer fetches and verifies one layer into its data and error
+// slots, then signals done when it runs on a goroutine of its own.
+func (r *Registry) fetchLayer(data *[]byte, errp *error, d Digest, done chan<- struct{}) {
+	*data, *errp = r.fetchBlobLocked(d)
+	if done != nil {
+		done <- struct{}{}
+	}
 }
 
 // TagIfAbsent points a name at a manifest digest only if the name is

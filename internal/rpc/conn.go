@@ -302,7 +302,7 @@ func (c *conn) initialize(raw json.RawMessage) (any, *Error) {
 		Capabilities: Capabilities{
 			Study: StudyCapabilities{
 				Subscribe:    true,
-				Replay:       c.srv.effectiveReplay(),
+				Replay:       core.ReplayEvents,
 				Cancel:       true,
 				SingleFlight: true,
 			},

@@ -184,7 +184,7 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 
 	// Room for every event of the stream, so the callback never blocks
 	// the client while the test is not reading.
-	seqs := make(chan uint64, DefaultServerReplay)
+	seqs := make(chan uint64, core.ReplayEvents)
 	streamed := make(chan error, 1)
 	var kinds []string
 	go func() {
@@ -223,6 +223,53 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 	}
 	if last := kinds[len(kinds)-1]; last != "study-finished" {
 		t.Fatalf("the stream ended with %q, want study-finished", last)
+	}
+}
+
+// TestServerKeepsRunnerCacheTiers: a server starts sessions on its
+// Runner as given, so a Runner without Configure keeps its cache tiers.
+// A second Server over the same Runner submits a spec the first server
+// finished, and its stream is the memory tier's: study-cached with tier
+// memory, then study-finished, with no unit event.
+func TestServerKeepsRunnerCacheTiers(t *testing.T) {
+	r := &core.Runner{}
+	stream := func() []StudyEvent {
+		t.Helper()
+		srv := &Server{Runner: r}
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		defer srv.Shutdown()
+		ctx, cancel := context.WithTimeout(context.Background(), scriptTimeout)
+		defer cancel()
+		c := &Client{URL: ts.URL}
+		sub, err := c.Submit(ctx, "seed 880006\nenvs google-gke-cpu\nscales 2\niterations 1\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []StudyEvent
+		if _, err := c.Subscribe(ctx, sub.Session, 0, func(_ []byte, ev StudyEvent) error {
+			evs = append(evs, ev)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(evs) == 0 || evs[len(evs)-1].Kind != "study-finished" {
+			t.Fatalf("the stream %+v does not end with study-finished", evs)
+		}
+		return evs
+	}
+	stream()
+	cached := 0
+	for _, ev := range stream() {
+		switch {
+		case ev.Kind == "study-cached" && ev.Tier == "memory":
+			cached++
+		case strings.HasPrefix(ev.Kind, "unit-"):
+			t.Fatalf("the second server's stream carries %s %s/%s: the study was not served from the memory tier", ev.Kind, ev.Env, ev.App)
+		}
+	}
+	if cached != 1 {
+		t.Fatalf("the second server's stream carries %d study-cached tier=memory events, want 1", cached)
 	}
 }
 

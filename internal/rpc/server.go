@@ -10,14 +10,6 @@ import (
 	"cloudhpc/internal/fleet"
 )
 
-// DefaultServerReplay is the replay-ring bound the server configures on
-// every session it starts when Server.Replay is unset. It is wider than
-// core.DefaultReplayEvents because reattach-after-disconnect is the
-// service's whole point: the window must comfortably hold a full study's
-// event stream so a client that reconnects with any cursor misses
-// nothing.
-const DefaultServerReplay = 4096
-
 // DrainWait and DrainCancel are the shutdown drain policies: wait lets
 // every running study finish before shutdown acknowledges; cancel
 // cancels them all first and waits only for the cooperative drain.
@@ -33,23 +25,17 @@ const (
 // a spec whose hash is already registered returns the existing session —
 // single-flight at the service layer, on top of the Runner's own — so any
 // number of clients submitting the same study observe one execution and
-// one event stream. The zero value serves with a default Runner, the
-// wait drain policy, and DefaultServerReplay; fields must be set before
-// the first connection is served.
+// one event stream. The zero value serves with a zero Runner and the
+// wait drain policy; fields must be set before the first connection is
+// served.
 type Server struct {
-	// Runner executes submitted studies; nil means a zero core.Runner
-	// (no result store). The server copies it and layers an
-	// observation-only Configure that widens each session's replay ring
-	// to Replay — which keeps the Runner's memory and store tiers (see
-	// core.Options.ReplayEvents).
+	// Runner executes submitted studies as given; nil means a zero
+	// core.Runner (no result store).
 	Runner *core.Runner
 	// Drain is the shutdown policy: DrainWait (default) or DrainCancel.
 	Drain string
-	// Replay overrides the per-session replay-ring bound advertised in
-	// the initialize capabilities; 0 means DefaultServerReplay.
-	Replay int
-	// Logf, when non-nil, receives server diagnostics (and is passed to
-	// the Runner when it has no Logf of its own). Nil discards them.
+	// Logf, when non-nil, receives server diagnostics. Nil discards them.
+	// Store warnings go to the Runner's ResultStore.Logf.
 	Logf func(format string, args ...any)
 	// Info is the serverInfo reported by initialize; a zero value is
 	// filled with the module's name.
@@ -63,7 +49,6 @@ type Server struct {
 	Fleet *fleet.Coordinator
 
 	mu       sync.Mutex
-	runner   *core.Runner
 	byHash   map[string]*studySession
 	byID     map[string]*studySession
 	nextID   int
@@ -98,13 +83,6 @@ func (ss *studySession) state() (string, error) {
 	}
 }
 
-func (s *Server) effectiveReplay() int {
-	if s.Replay > 0 {
-		return s.Replay
-	}
-	return DefaultServerReplay
-}
-
 func (s *Server) drainPolicy() string {
 	if s.Drain == DrainCancel {
 		return DrainCancel
@@ -118,10 +96,7 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// ensureLocked lazily builds the registry and the server's runner: a
-// copy of the user's Runner whose Configure additionally widens each
-// session's replay ring. Widening is observation-only, so a Runner that
-// had no Configure of its own keeps its memory and store tiers.
+// ensureLocked lazily builds the registry.
 func (s *Server) ensureLocked() {
 	if s.byID != nil {
 		return
@@ -129,25 +104,6 @@ func (s *Server) ensureLocked() {
 	s.byHash = make(map[string]*studySession)
 	s.byID = make(map[string]*studySession)
 	s.drained = make(chan struct{})
-	base := s.Runner
-	if base == nil {
-		base = &core.Runner{}
-	}
-	r := *base
-	if r.Logf == nil {
-		r.Logf = s.Logf
-	}
-	orig := r.Configure
-	replay := s.effectiveReplay()
-	r.Configure = func(o *core.Options) {
-		if orig != nil {
-			orig(o)
-		}
-		if o.ReplayEvents == 0 {
-			o.ReplayEvents = replay
-		}
-	}
-	s.runner = &r
 }
 
 // submit registers (or rejoins) the execution of one spec text.
@@ -174,14 +130,14 @@ func (s *Server) submit(specText string) (*SubmitResult, *Error) {
 	// single-flight — two clients racing the same hash cannot both
 	// register a session. The session's context is the server's (not the
 	// connection's): studies outlive the connections that submitted them.
-	sess, err := s.runner.Start(context.Background(), spec)
+	r := s.Runner
+	if r == nil {
+		r = &core.Runner{}
+	}
+	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		return nil, errf(CodeInvalidParams, "spec: %v", err)
 	}
-	// Retain the replay ring from the start: service clients attach,
-	// detach, and reattach at will, and a cursor must stay resumable even
-	// while nobody is subscribed.
-	sess.Retain()
 	s.nextID++
 	ss := &studySession{id: fmt.Sprintf("S%d", s.nextID), hash: hash, sess: sess}
 	s.byHash[hash] = ss
