@@ -33,7 +33,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	res, _, err := study.Run(nil)
+	res, _, err := study.Run()
 	if err != nil {
 		cli.Fail("archive", err)
 	}

@@ -45,7 +45,7 @@ func main() {
 		fatal(fmt.Errorf("no chaos plan: pass -chaos default or a plan file"))
 	}
 
-	res, err := study.RunSpec(spec, nil)
+	res, err := study.RunSpec(spec)
 	if err != nil {
 		cli.Fail("chaosbench", err)
 	}
@@ -65,7 +65,7 @@ func main() {
 		// the spec-keyed cache.
 		clean := *spec
 		clean.Chaos = ""
-		base, err := study.RunSpec(&clean, nil)
+		base, err := study.RunSpec(&clean)
 		if err != nil {
 			cli.Fail("chaosbench", err)
 		}

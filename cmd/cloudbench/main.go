@@ -6,7 +6,10 @@
 //
 // Usage:
 //
-//	cloudbench [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-trace]
+//	cloudbench [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-trace] [-pause 26h] [-test-clusters] [-abort-over-budget]
+//
+// The last three flags set the spec's directives of the same names
+// (§4.2), so -store serves such a run warm like any other.
 package main
 
 import (
@@ -16,7 +19,6 @@ import (
 
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/cli"
-	"cloudhpc/internal/core"
 	"cloudhpc/internal/report"
 	"cloudhpc/internal/usability"
 )
@@ -29,15 +31,21 @@ func main() {
 	abortOverBudget := flag.Bool("abort-over-budget", false, "stop an environment when its spend exceeds its share of the provider budget")
 	flag.Parse()
 
-	var configure func(*core.Options)
-	if *pause != 0 || *testClusters || *abortOverBudget {
-		configure = func(o *core.Options) {
-			o.PauseBetweenScales = *pause
-			o.TestClusters = *testClusters
-			o.AbortOverBudget = *abortOverBudget
-		}
+	spec, err := study.Spec()
+	if err != nil {
+		cli.Fail("cloudbench", err)
 	}
-	res, spec, err := study.Run(configure)
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "pause":
+			spec.Pause = *pause
+		case "test-clusters":
+			spec.TestClusters = *testClusters
+		case "abort-over-budget":
+			spec.AbortOverBudget = *abortOverBudget
+		}
+	})
+	res, err := study.RunSpec(spec)
 	if err != nil {
 		cli.Fail("cloudbench", err)
 	}

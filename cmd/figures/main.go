@@ -28,7 +28,7 @@ func main() {
 	flag.Parse()
 
 	// Every artifact below derives from one cached study execution.
-	res, spec, err := study.Run(nil)
+	res, spec, err := study.Run()
 	if err != nil {
 		cli.Fail("figures", err)
 	}

@@ -3,7 +3,10 @@
 //
 // Usage:
 //
-//	report [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-o report.md] [-chaos default|FILE]
+//	report [-spec FILE] [-seed N] [-workers N] [-store DIR] [-progress auto|on|off] [-o report.md] [-chaos default|FILE] [-pause 26h] [-test-clusters]
+//
+// -pause and -test-clusters set the spec's pause and test-clusters
+// directives (§4.2), so -store serves such a run warm like any other.
 package main
 
 import (
@@ -12,7 +15,6 @@ import (
 	"os"
 
 	"cloudhpc/internal/cli"
-	"cloudhpc/internal/core"
 	"cloudhpc/internal/report"
 )
 
@@ -23,17 +25,19 @@ func main() {
 	testClusters := flag.Bool("test-clusters", false, "shake out each environment on a small test cluster first")
 	flag.Parse()
 
-	// No non-spec options: the runner shares the process-wide spec-keyed
-	// cache; with them, it bypasses the cached tiers (the dataset depends
-	// on more than the spec).
-	var configure func(*core.Options)
-	if *pause != 0 || *testClusters {
-		configure = func(o *core.Options) {
-			o.PauseBetweenScales = *pause
-			o.TestClusters = *testClusters
-		}
+	spec, err := study.Spec()
+	if err != nil {
+		cli.Fail("report", err)
 	}
-	res, _, err := study.Run(configure)
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "pause":
+			spec.Pause = *pause
+		case "test-clusters":
+			spec.TestClusters = *testClusters
+		}
+	})
+	res, err := study.RunSpec(spec)
 	if err != nil {
 		cli.Fail("report", err)
 	}

@@ -34,7 +34,7 @@ func main() {
 		fatal(fmt.Errorf("unknown severity %q", *severity))
 	}
 
-	res, _, err := study.Run(nil)
+	res, _, err := study.Run()
 	if err != nil {
 		cli.Fail("trace", err)
 	}

@@ -19,7 +19,7 @@ func main() {
 	evidence := flag.Bool("evidence", false, "print the events behind each score")
 	flag.Parse()
 
-	res, _, err := study.Run(nil)
+	res, _, err := study.Run()
 	if err != nil {
 		cli.Fail("usability", err)
 	}

@@ -43,7 +43,7 @@ func Register(fs *flag.FlagSet, chaosDefault string) *StudyFlags {
 	f.seed = fs.Uint64("seed", core.DefaultSeed, "simulation seed (overrides the spec file's seed when set)")
 	f.workers = fs.Int("workers", 0, "concurrent work units (0 = all CPUs); the dataset is identical for every value")
 	f.chaos = fs.String("chaos", chaosDefault, `fault-injection plan: "none", "default", or a plan file path`)
-	f.spec = fs.String("spec", "", `study spec: "default" or a spec file path (envs, apps, scales, iterations, chaos, workers)`)
+	f.spec = fs.String("spec", "", `study spec: "default" or a spec file path (envs, apps, scales, iterations, chaos, pause, test-clusters, abort-over-budget, workers)`)
 	f.store = fs.String("store", "", "persistent result store directory: studies and (env, app) units are content-addressed there and reused across runs")
 	f.progress = fs.String("progress", "auto", `study progress feed on stderr: "auto" (only when stderr is a terminal), "on", or "off"`)
 	f.cpuprofile = fs.String("cpuprofile", "", "write a pprof CPU profile of the study run to this file")

@@ -143,7 +143,7 @@ func TestRunSpecUsesStoreFlag(t *testing.T) {
 	rs.Logf = t.Logf
 	defer core.FlushCachedRuns()
 
-	cold, err := f.RunSpec(spec, nil)
+	cold, err := f.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestRunSpecUsesStoreFlag(t *testing.T) {
 		t.Fatalf("cold run stats = %+v, want one study miss", s)
 	}
 	core.FlushCachedRuns()
-	warm, err := f.RunSpec(spec, nil)
+	warm, err := f.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

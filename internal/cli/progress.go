@@ -21,10 +21,9 @@ import (
 // RunSpec executes spec through a core.Runner session over the -store
 // flag's result store: SIGINT/SIGTERM cancel the run cooperatively
 // (in-flight work drains, the store is left consistent) and the shared
-// progress feed renders on stderr per the -progress flag. configure, when non-nil, adjusts non-spec options
-// (such runs bypass the cached study tiers). On interruption the error
-// satisfies IsInterrupt; mains report it via Fail.
-func (f *StudyFlags) RunSpec(spec *core.StudySpec, configure func(*core.Options)) (*core.Results, error) {
+// progress feed renders on stderr per the -progress flag. On
+// interruption the error satisfies IsInterrupt; mains report it via Fail.
+func (f *StudyFlags) RunSpec(spec *core.StudySpec) (*core.Results, error) {
 	rs, err := f.OpenStore()
 	if err != nil {
 		return nil, err
@@ -36,7 +35,7 @@ func (f *StudyFlags) RunSpec(spec *core.StudySpec, configure func(*core.Options)
 		return nil, err
 	}
 	defer stopProfiles()
-	r := &core.Runner{Store: rs, Configure: configure}
+	r := &core.Runner{Store: rs}
 	sess, err := r.Start(ctx, spec)
 	if err != nil {
 		return nil, err
@@ -54,12 +53,12 @@ func (f *StudyFlags) RunSpec(spec *core.StudySpec, configure func(*core.Options)
 
 // Run is RunSpec over the flags' own resolved spec, returning the spec
 // alongside the dataset (mains print its seed).
-func (f *StudyFlags) Run(configure func(*core.Options)) (*core.Results, *core.StudySpec, error) {
+func (f *StudyFlags) Run() (*core.Results, *core.StudySpec, error) {
 	spec, err := f.Spec()
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := f.RunSpec(spec, configure)
+	res, err := f.RunSpec(spec)
 	return res, spec, err
 }
 

@@ -23,9 +23,10 @@ import "sync"
 // matrix, a chaotic run vs a clean one) are different datasets and must
 // not collide. The hash covers exactly the dataset-determining inputs —
 // seed, resolved environments and scales, resolved models, iterations,
-// resolved chaos plan text — and deliberately excludes the execution
-// policy (Workers), under which the dataset is invariant,
-// so callers that differ only in policy share one entry. The same
+// the disciplines the spec sets, resolved chaos plan text — and
+// deliberately excludes the execution policy (Workers), under which the
+// dataset is invariant, so callers that differ only in policy share one
+// entry. The same
 // invariance is what makes a store entry trustworthy: whatever policy
 // computed it, a warm load is byte-identical.
 //

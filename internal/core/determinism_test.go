@@ -13,7 +13,7 @@ import (
 func runWithWorkers(t *testing.T, seed uint64, workers int, plan *chaos.Plan) (*study, *Results) {
 	t.Helper()
 	st, _ := newTestStudy(t, &StudySpec{Seed: seed, Workers: workers}, nil)
-	st.Opts.Chaos = plan
+	st.Spec.Plan = plan
 	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatalf("run(workers=%d): %v", workers, err)

@@ -11,9 +11,9 @@ import (
 )
 
 func TestDefaultOptionsMatchStudy(t *testing.T) {
-	// The zero Options must not change the study: Table 3 assertions in
-	// study_test.go run with defaults; here just confirm the shakeout and
-	// pause leave no trace when off.
+	// A spec without disciplines must not change the study: Table 3
+	// assertions in study_test.go run with defaults; here just confirm
+	// the shakeout and pause leave no trace when off.
 	st, _ := newTestStudy(t, DefaultSpec(11), nil)
 	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
@@ -21,14 +21,15 @@ func TestDefaultOptionsMatchStudy(t *testing.T) {
 	}
 	for _, e := range res.Log.Events() {
 		if strings.Contains(e.Msg, "test cluster") || strings.Contains(e.Msg, "paused") {
-			t.Fatalf("default options produced option events: %q", e.Msg)
+			t.Fatalf("a spec without disciplines produced discipline events: %q", e.Msg)
 		}
 	}
 }
 
 func TestTestClustersShakeout(t *testing.T) {
-	st, _ := newTestStudy(t, DefaultSpec(12), nil)
-	st.Opts.TestClusters = true
+	spec := DefaultSpec(12)
+	spec.TestClusters = true
+	st, _ := newTestStudy(t, spec, nil)
 	res, err := st.runSession(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +45,9 @@ func TestTestClustersShakeout(t *testing.T) {
 
 func TestPauseBetweenScalesShrinksBlindSpot(t *testing.T) {
 	run := func(pause time.Duration) float64 {
-		st, _ := newTestStudy(t, DefaultSpec(13), nil)
-		st.Opts.PauseBetweenScales = pause
+		spec := DefaultSpec(13)
+		spec.Pause = pause
+		st, _ := newTestStudy(t, spec, nil)
 		// Azure environments run last in the matrix, so their freshest
 		// charges are the blind spot visible at study end.
 		if _, err := st.runSession(context.Background(), nil); err != nil {
@@ -64,8 +66,9 @@ func TestPauseBetweenScalesShrinksBlindSpot(t *testing.T) {
 }
 
 func TestAbortOverBudgetStopsEnvironment(t *testing.T) {
-	st, _ := newTestStudy(t, DefaultSpec(14), nil)
-	st.Opts.AbortOverBudget = true
+	spec := DefaultSpec(14)
+	spec.AbortOverBudget = true
+	st, _ := newTestStudy(t, spec, nil)
 	st.Meter.SetBudget(cloud.Google, 50) // absurdly tight
 	res, err := st.runSession(context.Background(), nil)
 	if err != nil {

@@ -7,8 +7,9 @@
 // # Study specs
 //
 // What a study runs is declared by a StudySpec — environment selection,
-// application selection, scales, iterations, a chaos-plan reference, and
-// the execution policy (workers). DefaultSpec is the paper's
+// application selection, scales, iterations, a chaos-plan reference, the
+// §4.2 operating disciplines (pause, test-clusters, abort-over-budget),
+// and the execution policy (workers). DefaultSpec is the paper's
 // full 13×11×4×5 matrix; any other scenario is a different spec (built
 // programmatically or parsed from a line-oriented spec file via
 // ParseSpec/LoadSpec), not a code change. Runner is the one way to run
@@ -18,7 +19,7 @@
 //
 // Execution follows a hierarchical work-partitioning plan. The study's
 // environments are mutually independent, so a run executes them as
-// shards over a worker pool (Options.Workers, default runtime.NumCPU()).
+// shards over a worker pool (the spec's workers, default runtime.NumCPU()).
 // Each shard owns a complete private substrate set — a sim.Simulation
 // (virtual clock, event queue, named RNG streams derived from the study's
 // root seed), a trace.Log, and its own meter, quota manager, provisioner,

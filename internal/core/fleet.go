@@ -84,7 +84,7 @@ func (sh *shard) unitWork(key string, app string) UnitWork {
 		Env:        sh.spec.Key,
 		Scales:     sh.spec.Scales,
 		App:        app,
-		Iterations: sh.iterations,
+		Iterations: sh.rspec.Iterations,
 		Chaos:      sh.unitChaos,
 	}
 }

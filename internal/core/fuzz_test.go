@@ -18,6 +18,9 @@ func FuzzSpecParse(f *testing.F) {
 	f.Add("seed 18446744073709551615")
 	f.Add("scales 1 2 3 4 5 6 7 8")
 	f.Add("iterations 1000")
+	f.Add("pause 26h\ntest-clusters on\nabort-over-budget on\n")
+	f.Add("pause 0s\ntest-clusters off\nabort-over-budget off")
+	f.Add("pause 1h30m0.5s")
 	f.Fuzz(func(t *testing.T, src string) {
 		s, err := ParseSpec(src)
 		if err != nil {

@@ -497,12 +497,14 @@ func (rs *ResultStore) loadUnit(key string, env apps.EnvSpec, app string, iterat
 // exact (nodes, iter) schedule planUnit would plan today as it decodes
 // — the same loop shape, so the planned schedule and its archived form
 // can never drift apart silently — and converted straight into its
-// planned-run slot, with no intermediate record slice. A stale artifact
-// that still decodes (a draw-schedule change not captured by the key or
-// a schema bump) must fail here, because once handed to the assembly an
-// out-of-step plan fails the whole study.
+// planned-run slot, with no intermediate record slice. The slots are
+// sized by the schedule, never by the artifact's record count, which is
+// checked only at the end: stored and pushed units are untrusted input.
+// A stale artifact that still decodes (a draw-schedule change not
+// captured by the key or a schema bump) must fail here, because once
+// handed to the assembly an out-of-step plan fails the whole study.
 func decodeUnitPlan(env apps.EnvSpec, app string, iterations int, meta dataset.UnitMeta, cur *jsonl.Decoder[dataset.Record]) (*unitPlan, error) {
-	u := &unitPlan{runs: make([]plannedRun, 0, meta.Records)}
+	u := &unitPlan{runs: make([]plannedRun, 0, scheduledRuns(env, app, iterations))}
 	maxNodes := apps.MaxNodesFor(env)
 	for _, nodes := range env.Scales {
 		if nodes > maxNodes {

@@ -5,7 +5,9 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -418,24 +420,90 @@ func TestStaleUnitArtifactFallsBack(t *testing.T) {
 }
 
 // TestUnitRecordCountMismatchFallsBack: a unit artifact whose records
-// follow the planned schedule but whose unit.json claims one record
-// more is refused by loadUnit ("unit holds N records, metadata says
-// M"), counted as corrupt, recomputed to the store-free bytes, and
-// stored again whole.
+// follow the planned schedule but whose unit.json claims another count
+// — one more, a negative one, or one too large to allocate — is refused
+// by loadUnit ("unit holds N records, metadata says M"), counted as
+// corrupt, recomputed to the store-free bytes, and stored again whole.
 func TestUnitRecordCountMismatchFallsBack(t *testing.T) {
 	t.Parallel()
-	rs, _ := quietStore(t)
-	var mu sync.Mutex
-	var warnings []string
-	rs.Logf = func(format string, args ...any) {
-		mu.Lock()
-		warnings = append(warnings, fmt.Sprintf(format, args...))
-		mu.Unlock()
-	}
 	env, err := apps.EnvByKey("onprem-a-cpu")
 	if err != nil {
 		t.Fatal(err)
 	}
+	spec := &StudySpec{Seed: 771007, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream"}}
+	stPlain, _ := newTestStudy(t, spec, nil)
+	resPlain, err := stPlain.runSession(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, files, n := recordCountUnit(t, env)
+	for _, claim := range []int{n + 1, -1, 1 << 40} {
+		rs, _ := quietStore(t)
+		var mu sync.Mutex
+		var warnings []string
+		rs.Logf = func(format string, args ...any) {
+			mu.Lock()
+			warnings = append(warnings, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		}
+		if _, err := rs.Registry().Push("unit/"+key, dataset.UnitArtifactType, withRecordClaim(t, files, n, claim), nil); err != nil {
+			t.Fatal(err)
+		}
+		st, _ := newTestStudy(t, spec, rs)
+		res, err := st.runSession(context.Background(), nil)
+		if err != nil {
+			t.Fatalf("claim %d: a unit with a wrong record count must fall back to compute, got: %v", claim, err)
+		}
+		if s := rs.Stats(); s.UnitHits != 0 || s.UnitMisses != 1 || s.CorruptFallbacks != 1 {
+			t.Fatalf("claim %d: the unit was not refused: stats=%+v", claim, s)
+		}
+		mu.Lock()
+		want := fmt.Sprintf("unit holds %d records, metadata says %d", n, claim)
+		found := false
+		for _, w := range warnings {
+			found = found || strings.Contains(w, want)
+		}
+		mu.Unlock()
+		if !found {
+			t.Fatalf("claim %d: no warning naming %q; warnings: %v", claim, want, warnings)
+		}
+		if goldenSnapshot(res) != goldenSnapshot(resPlain) {
+			t.Fatalf("claim %d: fallback dataset drifted", claim)
+		}
+		if _, ok := rs.loadUnit(key, env, "stream", Iterations); !ok {
+			t.Fatalf("claim %d: the recomputed unit was not stored again", claim)
+		}
+	}
+}
+
+// TestAcceptUnitRefusesNegativeRecordCount: a pushed unit whose
+// unit.json claims a negative record count is refused with an error
+// and tagged nowhere.
+func TestAcceptUnitRefusesNegativeRecordCount(t *testing.T) {
+	t.Parallel()
+	env, err := apps.EnvByKey("onprem-a-cpu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, files, n := recordCountUnit(t, env)
+	rs, _ := quietStore(t)
+	manifest, err := rs.Registry().Push("staging/"+key, dataset.UnitArtifactType, withRecordClaim(t, files, n, -1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	work := UnitWork{Key: key, Seed: 771007, Env: env.Key, Scales: env.Scales, App: "stream", Iterations: Iterations}
+	if err := rs.AcceptUnit(work, string(manifest)); err == nil || !strings.Contains(err.Error(), "metadata says -1") {
+		t.Fatalf("AcceptUnit = %v, want the record-count refusal", err)
+	}
+	if _, err := rs.Registry().Pull("unit/" + key); !errors.Is(err, oras.ErrTagUnknown) {
+		t.Fatalf("the refused unit was tagged: Pull = %v", err)
+	}
+}
+
+// recordCountUnit encodes the seed-771007 stream unit of env as stored
+// files, returning its key, the files and its record count.
+func recordCountUnit(t *testing.T, env apps.EnvSpec) (string, map[string][]byte, int) {
+	t.Helper()
 	models, err := apps.SelectModels([]string{"stream"})
 	if err != nil {
 		t.Fatal(err)
@@ -449,46 +517,20 @@ func TestUnitRecordCountMismatchFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := len(u.runs)
-	claim := fmt.Appendf(nil, `"records":%d`, n)
-	if !bytes.Contains(files["unit.json"], claim) {
-		t.Fatalf("unit.json %s does not hold %s", files["unit.json"], claim)
-	}
-	files["unit.json"] = bytes.Replace(files["unit.json"], claim, fmt.Appendf(nil, `"records":%d`, n+1), 1)
-	if _, err := rs.Registry().Push("unit/"+key, dataset.UnitArtifactType, files, nil); err != nil {
-		t.Fatal(err)
-	}
+	return key, files, len(u.runs)
+}
 
-	spec := &StudySpec{Seed: 771007, Envs: []string{"onprem-a-cpu"}, Apps: []string{"stream"}}
-	st, _ := newTestStudy(t, spec, rs)
-	res, err := st.runSession(context.Background(), nil)
-	if err != nil {
-		t.Fatalf("a unit with a wrong record count must fall back to compute, got: %v", err)
+// withRecordClaim returns a copy of a unit's files whose unit.json
+// claims claim records instead of its true n.
+func withRecordClaim(t *testing.T, files map[string][]byte, n, claim int) map[string][]byte {
+	t.Helper()
+	old := fmt.Appendf(nil, `"records":%d`, n)
+	if !bytes.Contains(files["unit.json"], old) {
+		t.Fatalf("unit.json %s does not hold %s", files["unit.json"], old)
 	}
-	if s := rs.Stats(); s.UnitHits != 0 || s.UnitMisses != 1 || s.CorruptFallbacks != 1 {
-		t.Fatalf("the unit was not refused: stats=%+v", s)
-	}
-	mu.Lock()
-	want := fmt.Sprintf("unit holds %d records, metadata says %d", n, n+1)
-	found := false
-	for _, w := range warnings {
-		found = found || strings.Contains(w, want)
-	}
-	mu.Unlock()
-	if !found {
-		t.Fatalf("no warning naming %q; warnings: %v", want, warnings)
-	}
-	stPlain, _ := newTestStudy(t, spec, nil)
-	resPlain, err := stPlain.runSession(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if goldenSnapshot(res) != goldenSnapshot(resPlain) {
-		t.Fatal("fallback dataset drifted")
-	}
-	if _, ok := rs.loadUnit(key, env, "stream", Iterations); !ok {
-		t.Fatal("the recomputed unit was not stored again")
-	}
+	out := maps.Clone(files)
+	out["unit.json"] = bytes.Replace(files["unit.json"], old, fmt.Appendf(nil, `"records":%d`, claim), 1)
+	return out
 }
 
 // TestStudyBundleMissingFileFallsBack: a bundle stripped of runs.jsonl

@@ -22,13 +22,6 @@ type Runner struct {
 	// tools pass their -store flag's handle here). Nil disables the
 	// persistent tier: memory → compute.
 	Store *ResultStore
-	// Configure, when non-nil, adjusts each study's Options before
-	// execution — the hook for the non-spec knobs (pauses, test clusters,
-	// budget aborts). Such datasets depend on more than the spec, so a
-	// configured runner bypasses the memory and study-store tiers
-	// entirely (unit draws still flow through the unit tier: units
-	// depend only on spec-sliced inputs).
-	Configure func(*Options)
 	// Fleet, when non-nil, is the work-distribution delegate attached to
 	// every study this runner executes (effective only when a result
 	// store is attached too — the store is the unit-artifact exchange).
@@ -75,19 +68,6 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 	runCtx, cancel := context.WithCancel(ctx)
 	sess := newSession(cancel)
 
-	if r.Configure != nil {
-		// Non-spec options: the dataset depends on more than the spec,
-		// so it is never served from, or memoized into, the study tiers.
-		st := r.studyFor(rspec, spec)
-		r.Configure(&st.Opts)
-		go func() {
-			defer cancel()
-			res, err := st.runSession(runCtx, sess)
-			sess.finish(res, err)
-		}()
-		return sess, nil
-	}
-
 	key := rspec.Hash()
 	cacheMu.Lock()
 	e, ok := cache[key]
@@ -100,16 +80,8 @@ func (r *Runner) Start(ctx context.Context, spec *StudySpec) (*Session, error) {
 		go sess.follow(runCtx, cancel, e)
 		return sess, nil
 	}
-	go r.lead(runCtx, cancel, sess, rspec, spec, key, e)
+	go r.lead(runCtx, cancel, sess, rspec, key, e)
 	return sess, nil
-}
-
-// studyFor builds a fresh study for one computed run, wired to the
-// runner's store and fleet.
-func (r *Runner) studyFor(rspec *ResolvedSpec, spec *StudySpec) *study {
-	st := newStudy(rspec, spec)
-	st.Store, st.Fleet = r.Store, r.Fleet
-	return st
 }
 
 // lead runs the single-flight execution for a cache entry: store tier
@@ -117,7 +89,7 @@ func (r *Runner) studyFor(rspec *ResolvedSpec, spec *StudySpec) *study {
 // followers) and the session. A context error is broadcast but never
 // memoized — the entry is dropped so the next caller recomputes —
 // whereas a study error is memoized like any other outcome.
-func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Session, rspec *ResolvedSpec, spec *StudySpec, key string, e *cacheEntry) {
+func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Session, rspec *ResolvedSpec, key string, e *cacheEntry) {
 	defer cancel()
 	rs := r.Store
 	var res *Results
@@ -129,7 +101,9 @@ func (r *Runner) lead(ctx context.Context, cancel context.CancelFunc, sess *Sess
 		}
 	}
 	if res == nil {
-		res, err = r.studyFor(rspec, spec).runSession(ctx, sess)
+		st := newStudy(rspec)
+		st.Store, st.Fleet = rs, r.Fleet
+		res, err = st.runSession(ctx, sess)
 		if err == nil && rs != nil {
 			if serr := rs.SaveStudy(rspec, res); serr != nil {
 				rs.logf("core: result store: saving study/%s failed: %v", key, serr)

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"cloudhpc/internal/store"
+	"cloudhpc/internal/trace"
 )
 
 // collectEvents drains a subscription in the background and returns a
@@ -72,7 +75,7 @@ func TestSessionIsPureObservation(t *testing.T) {
 		t.Fatalf("stream must close with %s, got %s", EventStudyFinished, last.Kind)
 	}
 	deployable, skipped := 0, 0
-	for _, e := range st.Envs {
+	for _, e := range st.Spec.Envs {
 		if e.Unavailable == "" {
 			deployable++
 		} else {
@@ -85,7 +88,7 @@ func TestSessionIsPureObservation(t *testing.T) {
 	if got := len(kinds(evs, EventEnvSkipped)); got != skipped {
 		t.Errorf("env-skipped events = %d, want %d", got, skipped)
 	}
-	wantUnits := deployable * len(st.Models)
+	wantUnits := deployable * len(st.Spec.Models)
 	if got := len(kinds(evs, EventUnitFinished)) + len(kinds(evs, EventUnitCached)); got != wantUnits {
 		t.Errorf("unit completion events = %d, want %d", got, wantUnits)
 	}
@@ -316,36 +319,64 @@ func TestRunnerStoreTierEmitsStudyCached(t *testing.T) {
 	}
 }
 
-// TestRunnerConfigureBypassesCacheTiers: non-spec options produce
-// datasets that depend on more than the spec, so configured runs are
-// never served from (or memoized into) the study tiers.
-func TestRunnerConfigureBypassesCacheTiers(t *testing.T) {
+// TestDisciplinesAreSpecDirectives: the §4.2 disciplines are part of
+// the spec. Each one, once set, changes the hash; a spec with all three
+// round-trips through its text; and a disciplined dataset is memoized
+// under its own key, next to the undisciplined one.
+func TestDisciplinesAreSpecDirectives(t *testing.T) {
 	t.Parallel()
-	spec := &StudySpec{Seed: 880006, Envs: []string{"google-gke-cpu"}, Scales: []int{2}, Iterations: 1}
-	plain := &Runner{}
-	base, err := plain.Run(context.Background(), spec)
+	spec := func() *StudySpec {
+		return &StudySpec{Seed: 880006, Envs: []string{"google-gke-cpu"}, Scales: []int{2, 4}, Iterations: 1}
+	}
+	pause, clusters, abort := spec(), spec(), spec()
+	pause.Pause = time.Hour
+	clusters.TestClusters = true
+	abort.AbortOverBudget = true
+	seen := map[string]string{}
+	for _, s := range []*StudySpec{spec(), pause, clusters, abort} {
+		h, err := s.Hash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, dup := seen[h]; dup {
+			t.Fatalf("specs hash alike:\n%s\n%s", prev, s)
+		}
+		seen[h] = s.String()
+	}
+
+	all := spec()
+	all.Pause, all.TestClusters, all.AbortOverBudget = 26*time.Hour, true, true
+	all.normalize()
+	again, err := ParseSpec(all.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	configured := &Runner{Configure: func(o *Options) { o.PauseBetweenScales = time.Hour }}
-	a, err := configured.Run(context.Background(), spec)
+	if !reflect.DeepEqual(again, all) {
+		t.Fatalf("round trip drifted:\n in:  %+v\n out: %+v", all, again)
+	}
+
+	r := &Runner{}
+	plain, err := r.Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := configured.Run(context.Background(), spec)
+	paused, err := r.Run(context.Background(), pause)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a == base || b == base {
-		t.Fatal("configured run was served from the spec-keyed memory tier")
+	if paused == plain {
+		t.Fatal("a paused spec was served the unpaused dataset")
 	}
-	if a == b {
-		t.Fatal("configured runs must not memoize: got the same Results twice")
+	if n := len(paused.Log.Filter(func(e trace.Event) bool { return strings.HasPrefix(e.Msg, "paused 1h0m0s") })); n != 2 {
+		t.Fatalf("paused dataset logs %d pauses, want one per cluster size (2)", n)
 	}
-	// And the memory tier still serves the unconfigured dataset.
-	again, err := plain.Run(context.Background(), spec)
-	if err != nil || again != base {
-		t.Fatalf("plain rerun = (%p, %v), want memoized %p", again, err, base)
+	repeat := spec()
+	repeat.Pause = time.Hour
+	if got, err := r.Run(context.Background(), repeat); err != nil || got != paused {
+		t.Fatalf("paused rerun = (%p, %v), want memoized %p", got, err, paused)
+	}
+	if got, err := r.Run(context.Background(), spec()); err != nil || got != plain {
+		t.Fatalf("plain rerun = (%p, %v), want memoized %p", got, err, plain)
 	}
 }
 

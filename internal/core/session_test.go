@@ -3,16 +3,25 @@ package core
 import (
 	"context"
 	"reflect"
+	"sync/atomic"
 	"testing"
 )
+
+// resumeRuns numbers the invocations of TestSubscribeFromResumesExactly
+// in one process, so each runs a seed no earlier invocation memoized.
+var resumeRuns atomic.Uint64
 
 // TestSubscribeFromResumesExactly pins the reattach primitive: a
 // subscriber that detaches mid-stream and resubscribes with its last
 // sequence number receives exactly the events it missed, in order, with
-// nothing counted missed — provided the replay ring is wide enough.
+// nothing counted missed — provided the replay ring is wide enough. The
+// study must compute: a memory-tier hit streams two events, and the
+// resume would compare empty tails. A repeat run in one process
+// (-count=N) therefore takes a fresh seed instead of flushing the tier,
+// which the package's parallel tests rely on.
 func TestSubscribeFromResumesExactly(t *testing.T) {
 	t.Parallel()
-	spec := &StudySpec{Seed: 770001, Workers: 1}
+	spec := &StudySpec{Seed: 770001 + resumeRuns.Add(1)<<32, Workers: 1}
 	r := &Runner{}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
@@ -32,6 +41,9 @@ func TestSubscribeFromResumesExactly(t *testing.T) {
 	early.Close()
 	if _, err := sess.Wait(); err != nil {
 		t.Fatal(err)
+	}
+	if len(prefix) != 5 || prefix[0].Kind != EventStudyStarted || prefix[0].Total == 0 {
+		t.Fatalf("the stream must open with a planned %s and hold a 5-event prefix, got %+v", EventStudyStarted, prefix)
 	}
 	resumed := sess.SubscribeFrom(prefix[len(prefix)-1].Seq)
 	if resumed.Missed != 0 {

@@ -32,8 +32,10 @@ import (
 // then stitch shards together in canonical matrix order and produce
 // byte-identical results for any worker count.
 type shard struct {
-	spec   apps.EnvSpec
-	opts   Options
+	spec apps.EnvSpec
+	// rspec is the study's spec, shared read-only: models, iterations
+	// (itersFor may lower them for single runs) and disciplines.
+	rspec  *ResolvedSpec
 	sim    *sim.Simulation
 	log    *trace.Log
 	meter  *cloud.Meter
@@ -42,18 +44,14 @@ type shard struct {
 	build  *containers.Builder
 	reg    *containers.Registry
 	hookup *network.HookupModel
-	models []apps.Model
 	// chaos injects this shard's share of the study's fault plan; nil when
 	// no plan is set or no rule targets the environment. Its draws come
 	// from the stream "chaos/<env>" of the shard's own simulation, so the
 	// faults — like everything else a shard does — depend only on the
 	// (seed, plan, spec) triple, never on scheduling.
 	chaos *chaos.Engine
-	// iterations is the spec's per-scale repeat count (itersFor may lower
-	// it for individual runs).
-	iterations int
 	// planned holds the per-application unit outputs the shard's runs
-	// draw from (see unit.go), indexed like models.
+	// draw from (see unit.go), indexed like rspec.Models.
 	planned []*unitPlan
 	// store, when non-nil, serves and receives unit plans.
 	store *ResultStore
@@ -78,7 +76,7 @@ type shard struct {
 
 // newShard builds the private substrate set for one environment. Budgets
 // are inherited from the study meter so test overrides apply per shard;
-// under AbortOverBudget each shard receives an equal share of its
+// under StudySpec.AbortOverBudget each shard receives an equal share of its
 // provider's budget (see budgetShare) so the provider-wide cap still holds
 // even though concurrent environments cannot observe each other's spend.
 func (st *study) newShard(spec apps.EnvSpec) *shard {
@@ -88,7 +86,7 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 	for p, b := range st.Meter.Budgets() {
 		meter.SetBudget(p, b)
 	}
-	if st.Opts.AbortOverBudget && !spec.OnPrem() {
+	if st.Spec.AbortOverBudget && !spec.OnPrem() {
 		if share, ok := st.budgetShare(spec); ok {
 			meter.SetBudget(spec.Provider, share)
 		}
@@ -96,7 +94,7 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 	quota := cloud.NewQuotaManager(s, log)
 	prov := cloud.NewProvisioner(s, log, meter, quota, cloud.NewPlacementService(s, log))
 	reg := containers.NewRegistry()
-	eng := chaos.NewEngine(st.Opts.Chaos, spec.Key, spec.Instance.HourlyUSD, s, log)
+	eng := chaos.NewEngine(st.Spec.Plan, spec.Key, spec.Instance.HourlyUSD, s, log)
 	if eng != nil {
 		prov.Capacity = eng
 		reg.SetFaults(eng)
@@ -110,33 +108,32 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 	} else {
 		prov.FishEveryN = 0
 	}
+	models := st.Spec.Models
 	sh := &shard{
-		spec:       spec,
-		opts:       st.Opts,
-		sim:        s,
-		log:        log,
-		meter:      meter,
-		quota:      quota,
-		prov:       prov,
-		build:      containers.NewBuilder(s, log),
-		reg:        reg,
-		hookup:     st.Hookup,
-		models:     st.Models,
-		chaos:      eng,
-		iterations: st.Iterations,
-		planned:    make([]*unitPlan, len(st.Models)),
-		store:      st.Store,
-		fleet:      st.Fleet,
+		spec:    spec,
+		rspec:   st.Spec,
+		sim:     s,
+		log:     log,
+		meter:   meter,
+		quota:   quota,
+		prov:    prov,
+		build:   containers.NewBuilder(s, log),
+		reg:     reg,
+		hookup:  st.Hookup,
+		chaos:   eng,
+		planned: make([]*unitPlan, len(models)),
+		store:   st.Store,
+		fleet:   st.Fleet,
 		res: &Results{
 			// Sized to the shard's full schedule (scale skips only leave
 			// slack); one backing array for the whole run set.
-			Runs:    make([]RunRecord, 0, len(st.Models)*len(spec.Scales)*st.Iterations),
+			Runs:    make([]RunRecord, 0, len(models)*len(spec.Scales)*st.Spec.Iterations),
 			ECCOn:   make(map[string]float64),
 			Hookups: make(map[string]map[int]time.Duration),
 		},
 	}
 	if st.Store != nil {
-		sh.unitChaos = unitChaosText(st.Opts.Chaos, spec.Key)
+		sh.unitChaos = unitChaosText(st.Spec.Plan, spec.Key)
 	}
 	return sh
 }
@@ -156,7 +153,7 @@ func (st *study) budgetShare(spec apps.EnvSpec) (float64, bool) {
 		return 0, false
 	}
 	n := 0
-	for _, e := range st.Envs {
+	for _, e := range st.Spec.Envs {
 		if e.Provider == spec.Provider && e.Unavailable == "" && !e.OnPrem() {
 			n++
 		}
@@ -223,7 +220,7 @@ func (sh *shard) runEnvironment() error {
 				"size %d skipped: inability to get GPUs", nodes)
 			continue
 		}
-		if err := sh.checkBudget(); err != nil {
+		if sh.overBudget() {
 			return nil // environment aborted; the log explains why
 		}
 		sh.injectQuotaRevocation(nodes)
@@ -243,7 +240,7 @@ func (sh *shard) buildContainers() map[string]containers.Image {
 	if sh.spec.OnPrem() {
 		return images
 	}
-	for _, m := range sh.models {
+	for _, m := range sh.rspec.Models {
 		img, err := sh.build.Build(containers.CorrectSpec(m.Name(), sh.spec.Provider, sh.spec.Acc))
 		if err != nil {
 			continue // e.g. the Laghos GPU CUDA conflict
@@ -291,12 +288,12 @@ func (sh *shard) runScale(nodes int, images map[string]containers.Image) error {
 		scheduler.SetFaultInjector(sh.chaos)
 	}
 
-	for appIdx, m := range sh.models {
+	for appIdx, m := range sh.rspec.Models {
 		if err := sh.canceled(); err != nil {
 			return err
 		}
-		iters := itersFor(spec, nodes, m.Name(), sh.iterations)
-		if iters < sh.iterations {
+		iters := itersFor(spec, nodes, m.Name(), sh.rspec.Iterations)
+		if iters < sh.rspec.Iterations {
 			sh.log.Addf(sh.sim.Now(), spec.Key, trace.Info, trace.Routine,
 				"lammps at size 256: single run due to long hookup time")
 		}

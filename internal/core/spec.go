@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"time"
 
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/chaos"
@@ -18,8 +19,9 @@ const DefaultSeed = 2025
 
 // StudySpec is the declarative description of what a study runs: which
 // environments, which applications, at which cluster sizes, how many
-// iterations, under which fault plan — plus the execution policy (worker
-// count) that does not affect the dataset. It replaces the hardcoded
+// iterations, under which fault plan and which of the paper's §4.2
+// operating disciplines — plus the execution policy (worker count) that
+// does not affect the dataset. It replaces the hardcoded
 // 13×11×4×5 matrix as the single source of truth: the default spec
 // reproduces the paper's study exactly, and every other scenario is a
 // different spec, not a code change.
@@ -52,6 +54,25 @@ type StudySpec struct {
 	// reference with its own default (internal/cli), which an explicit
 	// "none" blocks.
 	Chaos string
+	// Pause inserts a wait after each cluster size so that lagged cost
+	// reporting catches up before committing to the next, larger (more
+	// expensive) size — "Operating on a cloud environment with a one-day
+	// reporting delay warrants careful planning and pauses between
+	// experiments." Zero means no pause; at most 720h.
+	Pause time.Duration
+	// TestClusters brings up a small shakeout cluster (shakeoutNodes
+	// nodes) per environment before the real sizes — "When feasible, we
+	// recommend employing test clusters to prepare experiments and test
+	// configurations."
+	TestClusters bool
+	// AbortOverBudget stops an environment when spend exceeds the
+	// provider's budget. Without it, overspend is only discovered after
+	// the reporting lag — "it is very difficult to fix overspending
+	// retroactively." Concurrent environments cannot observe each
+	// other's spend, so the provider budget is split evenly across the
+	// provider's deployable cloud environments and each one aborts
+	// against its share — the provider-wide cap holds in aggregate.
+	AbortOverBudget bool
 	// Workers bounds concurrent work units; 0 means runtime.NumCPU().
 	// Execution policy only — never part of the spec hash.
 	Workers int
@@ -114,6 +135,11 @@ func (s *StudySpec) validate() error {
 	if strings.ContainsAny(s.Chaos, "\n#") {
 		return fmt.Errorf("core: spec chaos reference %q contains newline or '#'", s.Chaos)
 	}
+	// A month per cluster size dwarfs every provider's reporting lag and
+	// keeps a campaign of many sizes far from overflowing the clock.
+	if s.Pause < 0 || s.Pause > 720*time.Hour {
+		return fmt.Errorf("core: spec pause %v outside [0, 720h]", s.Pause)
+	}
 	return nil
 }
 
@@ -140,8 +166,24 @@ func (s *StudySpec) String() string {
 		// explicit "none" is preserved and blocks them.
 		fmt.Fprintf(&b, "chaos %s\n", s.Chaos)
 	}
+	writeDisciplines(&b, s.Pause, s.TestClusters, s.AbortOverBudget)
 	fmt.Fprintf(&b, "workers %d\n", s.Workers)
 	return b.String()
+}
+
+// writeDisciplines renders each §4.2 discipline a spec sets as its
+// directive, for String and Hash alike. An unset one writes nothing, so
+// a spec without them keeps the text and hash it had before they existed.
+func writeDisciplines(b *strings.Builder, pause time.Duration, testClusters, abortOverBudget bool) {
+	if pause != 0 {
+		fmt.Fprintf(b, "pause %v\n", pause)
+	}
+	if testClusters {
+		b.WriteString("test-clusters on\n")
+	}
+	if abortOverBudget {
+		b.WriteString("abort-over-budget on\n")
+	}
 }
 
 // ParseSpec parses spec-file syntax: one directive per line,
@@ -149,9 +191,10 @@ func (s *StudySpec) String() string {
 //	<key> <value...>
 //
 // with '#' comments and blank lines ignored. Keys are seed, envs, apps,
-// scales, iterations, chaos, and workers; all are optional
-// (missing keys take the study defaults — a missing seed line means
-// DefaultSeed) but none may repeat. Unknown keys, malformed values, and
+// scales, iterations, chaos, pause (a Go duration such as 26h),
+// test-clusters and abort-over-budget (on or off), and workers; all are
+// optional (missing keys take the study defaults — a missing seed line
+// means DefaultSeed) but none may repeat. Unknown keys, malformed values, and
 // out-of-range values are errors. The parsed spec is normalized and
 // validated.
 func ParseSpec(src string) (*StudySpec, error) {
@@ -225,6 +268,29 @@ func ParseSpec(src string) (*StudySpec, error) {
 				return nil, err
 			}
 			s.Chaos = v
+		case "pause":
+			v, err := single()
+			if err != nil {
+				return nil, err
+			}
+			d, err := time.ParseDuration(v)
+			if err != nil {
+				return nil, fmt.Errorf("core: spec line %d: pause: %v", lineNo+1, err)
+			}
+			s.Pause = d
+		case "test-clusters", "abort-over-budget":
+			v, err := single()
+			if err != nil {
+				return nil, err
+			}
+			if v != "on" && v != "off" {
+				return nil, fmt.Errorf("core: spec line %d: %s wants on or off, got %q", lineNo+1, key, v)
+			}
+			if key == "test-clusters" {
+				s.TestClusters = v == "on"
+			} else {
+				s.AbortOverBudget = v == "on"
+			}
 		case "workers":
 			v, err := single()
 			if err != nil {
@@ -272,13 +338,18 @@ func LoadSpec(arg string) (*StudySpec, error) {
 
 // ResolvedSpec is a spec materialized against the study matrix: concrete
 // environment rows (with any scale override applied), concrete models,
-// and the loaded chaos plan.
+// and the loaded chaos plan, plus the spec's disciplines and worker
+// policy as given. It is everything one study execution reads.
 type ResolvedSpec struct {
-	Seed       uint64
-	Envs       []apps.EnvSpec
-	Models     []apps.Model
-	Iterations int
-	Plan       *chaos.Plan
+	Seed            uint64
+	Envs            []apps.EnvSpec
+	Models          []apps.Model
+	Iterations      int
+	Plan            *chaos.Plan
+	Pause           time.Duration
+	TestClusters    bool
+	AbortOverBudget bool
+	Workers         int
 }
 
 // Resolve materializes the spec: environment patterns are matched against
@@ -310,18 +381,22 @@ func (s *StudySpec) Resolve() (*ResolvedSpec, error) {
 		return nil, err
 	}
 	return &ResolvedSpec{
-		Seed:       spec.Seed,
-		Envs:       envs,
-		Models:     models,
-		Iterations: spec.Iterations,
-		Plan:       plan,
+		Seed:            spec.Seed,
+		Envs:            envs,
+		Models:          models,
+		Iterations:      spec.Iterations,
+		Plan:            plan,
+		Pause:           spec.Pause,
+		TestClusters:    spec.TestClusters,
+		AbortOverBudget: spec.AbortOverBudget,
+		Workers:         spec.Workers,
 	}, nil
 }
 
 // Hash returns the canonical content hash of everything that determines
 // the dataset: the seed, the resolved environment rows (keys and scales),
-// the resolved model names, the iteration count, and the resolved chaos
-// plan text (so two references to the same plan hash alike, and editing a
+// the resolved model names, the iteration count, each §4.2 discipline the
+// spec sets (see writeDisciplines), and the resolved chaos plan text (so two references to the same plan hash alike, and editing a
 // plan file changes the hash). Execution policy — Workers — is
 // deliberately excluded: the dataset is invariant under it, so cache
 // entries are shared across it.
@@ -355,6 +430,7 @@ func (r *ResolvedSpec) Hash() string {
 	sort.Strings(names) // model order never affects per-app streams
 	fmt.Fprintf(&b, "apps %s\n", strings.Join(names, ","))
 	fmt.Fprintf(&b, "iterations %d\n", r.Iterations)
+	writeDisciplines(&b, r.Pause, r.TestClusters, r.AbortOverBudget)
 	fmt.Fprintf(&b, "chaos:\n%s", r.Plan.String())
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }

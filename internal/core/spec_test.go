@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudhpc/internal/apps"
 	"cloudhpc/internal/chaos"
@@ -42,6 +43,7 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		DefaultSpec(2025),
 		{Seed: 7, Envs: []string{"azure-*", "onprem-a-cpu"}, Apps: []string{"amg2023", "lammps"},
 			Scales: []int{8, 32}, Iterations: 3, Chaos: "default", Workers: 16},
+		{Seed: 8, Pause: 26 * time.Hour, TestClusters: true, AbortOverBudget: true},
 	}
 	for _, s := range specs {
 		s.normalize()
@@ -65,12 +67,15 @@ apps kripke
 scales 32 64
 iterations 2
 chaos none
+pause 90m
+test-clusters on
+abort-over-budget off
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := &StudySpec{Seed: 99, Envs: []string{"aws-*", "google-gke-cpu"}, Apps: []string{"kripke"},
-		Scales: []int{32, 64}, Iterations: 2, Chaos: "none"}
+		Scales: []int{32, 64}, Iterations: 2, Chaos: "none", Pause: 90 * time.Minute, TestClusters: true}
 	want.normalize()
 	if !reflect.DeepEqual(s, want) {
 		t.Fatalf("parsed %+v, want %+v", s, want)
@@ -89,13 +94,18 @@ func TestParseSpecRejects(t *testing.T) {
 		"scales 64 32",        // not ascending
 		"scales -1",           // out of range
 		"envs",                // key without value
+		"pause 26",            // duration without a unit
+		"pause -1h",           // negative pause
+		"pause 721h",          // above the bound
+		"test-clusters yes",   // neither on nor off
+		"abort-over-budget",   // key without value
 	} {
 		if _, err := ParseSpec(src); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", src)
 		}
 	}
-	// Negative workers keep the Options contract ("zero or negative means
-	// all CPUs") rather than erroring: they normalize to 0.
+	// Negative workers mean all CPUs, like zero, rather than erroring:
+	// they normalize to 0.
 	s, err := ParseSpec("workers -2")
 	if err != nil {
 		t.Fatalf("negative workers must normalize, got error: %v", err)

@@ -22,26 +22,23 @@ const Iterations = 5
 // BudgetPerCloudUSD is the per-cloud budget (paper §2.1).
 const BudgetPerCloudUSD = 49000
 
-// study wires one execution's configuration together. Runner builds a
-// fresh one for every run it computes (newStudy), so a study runs exactly
-// once. The top-level substrates are the merge targets of that run:
-// afterwards Log, Meter, Builder, and Registry hold the stitched-together
-// view of every environment shard. Provisioners, quota managers, and
-// placement services are per-shard concerns and are constructed inside
-// the shards. Models and Hookup are shared across shards read-only.
+// study wires one execution together. Runner builds a fresh one for
+// every run it computes (newStudy), so a study runs exactly once. The
+// top-level substrates are the merge targets of that run: afterwards
+// Log, Meter, Builder, and Registry hold the stitched-together view of
+// every environment shard. Provisioners, quota managers, and placement
+// services are per-shard concerns and are constructed inside the shards.
+// Spec and Hookup are shared across shards read-only.
 type study struct {
-	Opts     Options
+	// Spec is what the study runs: its matrix, iteration count, chaos
+	// plan, disciplines and worker policy.
+	Spec     *ResolvedSpec
 	Sim      *sim.Simulation
 	Log      *trace.Log
 	Meter    *cloud.Meter
 	Builder  *containers.Builder
 	Registry *containers.Registry
 	Hookup   *network.HookupModel
-	Envs     []apps.EnvSpec
-	Models   []apps.Model
-	// Iterations is the per-scale repeat count (the spec's iteration
-	// count; Iterations — the package constant — for the default study).
-	Iterations int
 	// Store, when non-nil, is the persistent result store consulted for
 	// (env, app) unit reuse: units whose sub-hash is already stored are
 	// decoded instead of recomputed, and computed units are stored for
@@ -100,14 +97,11 @@ type Results struct {
 	Builds containers.Funnel
 }
 
-// newStudy builds a study from an already-materialized spec: the spec's
-// environment and application selections become the study matrix, its
-// scale override and iteration count apply, its chaos reference is
-// resolved into Options.Chaos, and its worker policy lands in
-// Options. Runner resolves once and builds from that, so the dataset
-// executed always matches the key it is memoized under even if a
-// referenced chaos plan file changes on disk in between.
-func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
+// newStudy builds a study from an already-materialized spec. Runner
+// resolves once and builds from that, so the dataset executed always
+// matches the key it is memoized under even if a referenced chaos plan
+// file changes on disk in between.
+func newStudy(r *ResolvedSpec) *study {
 	s := sim.New(r.Seed)
 	log := trace.NewLog()
 	meter := cloud.NewMeter(s, log)
@@ -115,16 +109,13 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 		meter.SetBudget(p, BudgetPerCloudUSD)
 	}
 	return &study{
-		Opts:       Options{Workers: spec.Workers, Chaos: r.Plan},
-		Sim:        s,
-		Log:        log,
-		Meter:      meter,
-		Builder:    containers.NewBuilder(s, log),
-		Registry:   containers.NewRegistry(),
-		Hookup:     network.NewHookupModel(),
-		Envs:       r.Envs,
-		Models:     r.Models,
-		Iterations: r.Iterations,
+		Spec:     r,
+		Sim:      s,
+		Log:      log,
+		Meter:    meter,
+		Builder:  containers.NewBuilder(s, log),
+		Registry: containers.NewRegistry(),
+		Hookup:   network.NewHookupModel(),
 	}
 }
 
@@ -142,7 +133,7 @@ func newStudy(r *ResolvedSpec, spec *StudySpec) *study {
 // assembly is enqueued by whichever of its units finishes last, so
 // assemblies overlap with other environments' units and the pool keeps
 // scaling past the environment count. All tasks are dispatched over a
-// pool of Options.Workers goroutines (default runtime.NumCPU()).
+// pool of the spec's workers goroutines (default runtime.NumCPU()).
 //
 // Because every unit's and shard's behaviour depends only on the root
 // seed and its own (env, app) coordinates — never on which worker ran it
@@ -160,12 +151,8 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if st.Iterations <= 0 {
-		st.Iterations = Iterations
-	}
-
-	shards := make([]*shard, len(st.Envs))
-	for i, spec := range st.Envs {
+	shards := make([]*shard, len(st.Spec.Envs))
+	for i, spec := range st.Spec.Envs {
 		shards[i] = st.newShard(spec)
 		shards[i].ctx = ctx
 		shards[i].sess = sess
@@ -175,13 +162,14 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	// last unit enqueues its assembly), so the queue is buffered for the
 	// whole plan and completion is tracked by counting tasks, not by
 	// closing the channel early.
+	units := len(st.Spec.Models) // per deployed environment
 	total := len(shards)
 	for _, sh := range shards {
 		if sh.spec.Unavailable == "" {
-			total += len(sh.models)
+			total += units
 		}
 	}
-	workers := st.Opts.Workers
+	workers := st.Spec.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -204,12 +192,12 @@ func (st *study) runSession(ctx context.Context, sess *Session) (*Results, error
 	pending.Add(total)
 	for _, sh := range shards {
 		sh := sh
-		if sh.spec.Unavailable != "" || len(sh.models) == 0 {
+		if sh.spec.Unavailable != "" || units == 0 {
 			queue <- st.envTask(ctx, sess, sh)
 			continue
 		}
-		remaining := int32(len(sh.models))
-		for appIdx := range sh.models {
+		remaining := int32(units)
+		for appIdx := 0; appIdx < units; appIdx++ {
 			appIdx := appIdx
 			queue <- func() {
 				// A cancelled plan still runs its dispatch accounting (the
@@ -291,7 +279,7 @@ func (st *study) envTask(ctx context.Context, sess *Session, sh *shard) func() {
 // scheduling, so the merged output is identical for any worker count.
 func (st *study) merge(shards []*shard) (*Results, error) {
 	res := &Results{
-		Log: st.Log, Meter: st.Meter, Envs: st.Envs,
+		Log: st.Log, Meter: st.Meter, Envs: st.Spec.Envs,
 		ECCOn:   make(map[string]float64),
 		Hookups: make(map[string]map[int]time.Duration),
 	}

@@ -11,18 +11,17 @@ import (
 )
 
 // newTestStudy is how in-package tests run a study with what Runner does
-// not expose (Meter budgets, Models, non-spec Opts, the unit-compute
-// probe, the merged study clock): it resolves spec and builds the study
-// a Runner would compute, with store rs attached (nil for a store-free
-// run). Callers adjust it and run it once with runSession, outside the
-// memory and study tiers.
+// not expose (Meter budgets, the resolved spec, the merged study clock):
+// it resolves spec and builds the study a Runner would compute, with
+// store rs attached (nil for a store-free run). Callers adjust it and run
+// it once with runSession, outside the memory and study tiers.
 func newTestStudy(t *testing.T, spec *StudySpec, rs *ResultStore) (*study, *ResolvedSpec) {
 	t.Helper()
 	r, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := newStudy(r, spec)
+	st := newStudy(r)
 	st.Store = rs
 	return st, r
 }

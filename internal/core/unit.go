@@ -86,6 +86,20 @@ func itersFor(spec apps.EnvSpec, nodes int, app string, base int) int {
 	return base
 }
 
+// scheduledRuns counts the runs one (env, app) unit plans: its
+// iterations at every scale the environment can deploy. planUnit and
+// decodeUnitPlan size their run slices by it, never by a stored count.
+func scheduledRuns(spec apps.EnvSpec, app string, iterations int) int {
+	maxNodes := apps.MaxNodesFor(spec)
+	total := 0
+	for _, nodes := range spec.Scales {
+		if nodes <= maxNodes {
+			total += itersFor(spec, nodes, app, iterations)
+		}
+	}
+	return total
+}
+
 // planUnit computes the planned runs of one (env, app) unit. It draws
 // from the stream runStreamName(spec.Key, m.Name()) of a private
 // simulation seeded with the study's root seed, visiting the
@@ -94,15 +108,8 @@ func itersFor(spec apps.EnvSpec, nodes int, app string, base int) int {
 func planUnit(seed uint64, spec apps.EnvSpec, m apps.Model, iterations int, hookup *network.HookupModel) *unitPlan {
 	sm := sim.New(seed)
 	rng := sm.Stream(runStreamName(spec.Key, m.Name()))
-	u := &unitPlan{}
+	u := &unitPlan{runs: make([]plannedRun, 0, scheduledRuns(spec, m.Name(), iterations))}
 	maxNodes := apps.MaxNodesFor(spec)
-	total := 0
-	for _, nodes := range spec.Scales {
-		if nodes <= maxNodes {
-			total += itersFor(spec, nodes, m.Name(), iterations)
-		}
-	}
-	u.runs = make([]plannedRun, 0, total)
 	for _, nodes := range spec.Scales {
 		if nodes > maxNodes {
 			continue // the assembly skips this scale; no draws happen
@@ -135,11 +142,12 @@ func PlanUnitForBench(seed uint64, spec apps.EnvSpec, m apps.Model, iterations i
 // Units of the same shard may run concurrently: each owns a private
 // simulation, and each writes only its own planned-run slot.
 func (sh *shard) ensureUnit(appIdx int) EventKind {
-	m := sh.models[appIdx]
+	m := sh.rspec.Models[appIdx]
+	iterations := sh.rspec.Iterations
 	var key string
 	if sh.store != nil {
-		key = unitKey(sh.sim.Seed(), sh.spec, m.Name(), sh.iterations, sh.unitChaos)
-		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), sh.iterations); ok {
+		key = unitKey(sh.sim.Seed(), sh.spec, m.Name(), iterations, sh.unitChaos)
+		if u, ok := sh.store.loadUnit(key, sh.spec, m.Name(), iterations); ok {
 			sh.planned[appIdx] = u
 			return EventUnitCached
 		}
@@ -150,11 +158,11 @@ func (sh *shard) ensureUnit(appIdx int) EventKind {
 			}
 		}
 	}
-	u := planUnit(sh.sim.Seed(), sh.spec, m, sh.iterations, sh.hookup)
+	u := planUnit(sh.sim.Seed(), sh.spec, m, iterations, sh.hookup)
 	if sh.store != nil {
 		sh.store.saveUnit(dataset.UnitMeta{
 			Version: storeSchemaVersion, Key: key, Seed: sh.sim.Seed(),
-			Env: sh.spec.Key, App: m.Name(), Iterations: sh.iterations,
+			Env: sh.spec.Key, App: m.Name(), Iterations: iterations,
 		}, u)
 	}
 	sh.planned[appIdx] = u
@@ -175,7 +183,7 @@ func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
 	if !sh.fleet.Offload(sh.ctx, sh.unitWork(key, app), observe) {
 		return nil, false
 	}
-	return sh.store.loadUnit(key, sh.spec, app, sh.iterations)
+	return sh.store.loadUnit(key, sh.spec, app, sh.rspec.Iterations)
 }
 
 // resolveUnit is ensureUnit bracketed by its observation events: one
@@ -183,7 +191,7 @@ func (sh *shard) offloadUnit(key, app string) (*unitPlan, bool) {
 // is pure observation; with no session attached this is exactly
 // ensureUnit. Each unit task calls it exactly once.
 func (sh *shard) resolveUnit(appIdx int) {
-	app := sh.models[appIdx].Name()
+	app := sh.rspec.Models[appIdx].Name()
 	sh.sess.emit(Event{Kind: EventUnitStarted, Env: sh.spec.Key, App: app})
 	sh.sess.emit(Event{Kind: sh.ensureUnit(appIdx), Env: sh.spec.Key, App: app})
 }

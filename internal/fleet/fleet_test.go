@@ -430,7 +430,11 @@ func TestStudyByteIdentity(t *testing.T) {
 		}
 	}
 
-	// Reference: plain local run, its own store, no fleet.
+	// Reference: plain local run, its own store, no fleet. The memory
+	// tier is flushed before it and before the fleet run, so each one
+	// computes: otherwise a repeat run in one process (-count=N) would
+	// compare one memoized dataset with itself.
+	core.FlushCachedRuns()
 	local, err := (&core.Runner{Store: newStore(t)}).Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
@@ -475,16 +479,12 @@ func TestStudyByteIdentity(t *testing.T) {
 		}
 	}()
 
-	// The Configure hook changes a non-observation option (Workers — the
-	// executor is byte-identical across worker counts), which makes the
-	// runner bypass the process-wide memory tier the local reference run
-	// just memoized into. Units still flow through the unit tier: cold
-	// store, then the fleet.
-	remote, err := (&core.Runner{
-		Store:     rs,
-		Fleet:     co,
-		Configure: func(o *core.Options) { o.Workers = 3 },
-	}).Run(context.Background(), spec())
+	// A different worker count (the executor is byte-identical across
+	// them) over a cold store: every unit goes to the fleet.
+	core.FlushCachedRuns()
+	remoteSpec := spec()
+	remoteSpec.Workers = 3
+	remote, err := (&core.Runner{Store: rs, Fleet: co}).Run(context.Background(), remoteSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

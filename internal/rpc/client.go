@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 )
 
@@ -43,20 +44,70 @@ func (c *Client) endpoint() string {
 
 // post sends one request line and returns the streamed response body.
 func (c *Client) post(ctx context.Context, method string, params any) (io.ReadCloser, error) {
-	praw, err := json.Marshal(params)
-	if err != nil {
+	var b batch
+	if err := b.add(method, params); err != nil {
 		return nil, err
 	}
-	line, err := json.Marshal(request{JSONRPC: "2.0", ID: json.RawMessage(`1`), Method: method, Params: praw})
-	if err != nil {
-		return nil, err
-	}
-	return c.postBody(ctx, append(line, '\n'))
+	return c.postBody(ctx, b.body)
 }
 
-// postBody sends pre-framed request lines as one POST body — the
-// multi-request form chunked store.put uploads use, since the server
-// stages an upload per connection and each POST is one connection.
+// batch is one POST body of request lines numbered from 1. Chunked
+// uploads send a blob's store.put chunks (addBlob), then whatever request
+// the upload feeds, in one batch: the server stages an upload per
+// connection, and each POST is one connection.
+type batch struct {
+	body []byte
+	n    int
+}
+
+// add appends one request line under the next id.
+func (b *batch) add(method string, params any) error {
+	praw, err := json.Marshal(params)
+	if err != nil {
+		return err
+	}
+	b.n++
+	line, err := json.Marshal(request{JSONRPC: "2.0", ID: json.RawMessage(strconv.Itoa(b.n)), Method: method, Params: praw})
+	if err != nil {
+		return err
+	}
+	if b.body == nil {
+		b.body = line // the first line is framed in place, with no copy
+	} else {
+		b.body = append(b.body, line...)
+	}
+	b.body = append(b.body, '\n')
+	return nil
+}
+
+// send posts the batch through c and reads one reply per line. Any error
+// reply fails the batch; the last reply decodes into last.
+func (b *batch) send(ctx context.Context, c *Client, what string, last any) error {
+	body, err := c.postBody(ctx, b.body)
+	if err != nil {
+		return err
+	}
+	defer body.Close()
+	sc := newLineScanner(body)
+	for i := 0; i < b.n; i++ {
+		if !sc.Scan() {
+			if err := sc.Err(); err != nil {
+				return err
+			}
+			return fmt.Errorf("rpc: %s: %d of %d replies", what, i, b.n)
+		}
+		var result any
+		if i == b.n-1 {
+			result = last
+		}
+		if err := decodeResponse(sc.Bytes(), result); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// postBody sends pre-framed request lines as one POST body.
 func (c *Client) postBody(ctx context.Context, body []byte) (io.ReadCloser, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.endpoint(), bytes.NewReader(body))
 	if err != nil {

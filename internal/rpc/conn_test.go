@@ -148,8 +148,11 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 	gate := &gatedStore{BlobStore: store.NewMemory(), blocked: make(chan struct{}), release: make(chan struct{})}
 	rs := core.NewResultStore(gate)
 	rs.Logf = nil
+	// A repeat run in one process (-count=N) must compute the study
+	// again, or no Put ever blocks.
+	core.FlushCachedRuns()
 	srv := &Server{
-		Runner: &core.Runner{Store: rs, Configure: func(o *core.Options) { o.Workers = 1 }},
+		Runner: &core.Runner{Store: rs},
 		Drain:  DrainCancel,
 	}
 	ts := httptest.NewServer(srv.Handler())
@@ -164,7 +167,7 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 	defer cancel()
 	c := &Client{URL: ts.URL}
 
-	sub, err := c.Submit(ctx, "seed 880004\nenvs google-gke-cpu\nscales 2\niterations 1\n")
+	sub, err := c.Submit(ctx, "seed 880004\nenvs google-gke-cpu\nscales 2\niterations 1\nworkers 1\n")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,8 +230,8 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 }
 
 // TestServerKeepsRunnerCacheTiers: a server starts sessions on its
-// Runner as given, so a Runner without Configure keeps its cache tiers.
-// A second Server over the same Runner submits a spec the first server
+// Runner as given, so its sessions keep the Runner's cache tiers. A
+// second Server over the same Runner submits a spec the first server
 // finished, and its stream is the memory tier's: study-cached with tier
 // memory, then study-finished, with no unit event.
 func TestServerKeepsRunnerCacheTiers(t *testing.T) {

@@ -18,13 +18,10 @@ package rpc
 // per connection, and one round trip carries the whole unit.
 
 import (
-	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"cloudhpc/internal/core"
@@ -212,73 +209,25 @@ func (c *Client) PushUnit(ctx context.Context, worker, lease string, work core.U
 	if err != nil {
 		return res, fmt.Errorf("rpc: packing unit %s: %w", work.Key, err)
 	}
-	var body bytes.Buffer
-	n := 0
-	addLine := func(method string, params any) error {
-		praw, err := json.Marshal(params)
-		if err != nil {
-			return err
-		}
-		n++
-		line, err := json.Marshal(request{JSONRPC: "2.0", ID: json.RawMessage(strconv.Itoa(n)), Method: method, Params: praw})
-		if err != nil {
-			return err
-		}
-		body.Write(line)
-		body.WriteByte('\n')
-		return nil
-	}
+	var b batch
 	for _, dig := range pack.SyncInventory().Digests {
 		data, err := pack.FetchBlob(oras.Digest(dig))
 		if err != nil {
 			return res, fmt.Errorf("rpc: packing unit %s: %w", work.Key, err)
 		}
-		for off := 0; ; off += syncChunkBytes {
-			end := min(off+syncChunkBytes, len(data))
-			err := addLine("store.put", StorePutParams{
-				Digest: dig,
-				Offset: int64(off),
-				Data:   base64.StdEncoding.EncodeToString(data[off:end]),
-				Last:   end == len(data),
-			})
-			if err != nil {
-				return res, err
-			}
-			if end == len(data) {
-				break
-			}
+		if err := b.addBlob(dig, data); err != nil {
+			return res, err
 		}
 	}
-	if err := addLine("fleet.complete", FleetCompleteParams{
+	if err := b.add("fleet.complete", FleetCompleteParams{
 		Worker: worker, Lease: lease, Key: work.Key, Manifest: string(manifest),
 	}); err != nil {
 		return res, err
 	}
-	respBody, err := c.postBody(ctx, body.Bytes())
-	if err != nil {
-		return res, err
-	}
-	defer respBody.Close()
-	sc := newLineScanner(respBody)
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return res, err
-			}
-			return res, fmt.Errorf("rpc: fleet push: %d of %d replies", i, n)
-		}
-		// Upload replies are StorePutResult; only the final line is the
-		// completion. Any error reply aborts the push.
-		if i == n-1 {
-			err = decodeResponse(sc.Bytes(), &res)
-		} else {
-			err = decodeResponse(sc.Bytes(), nil)
-		}
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	// The last reply is the completion; an error reply to any line
+	// aborts the push.
+	err = b.send(ctx, c, "fleet push", &res)
+	return res, err
 }
 
 // RunWorker is cmd/serve's worker mode: register with the coordinator,

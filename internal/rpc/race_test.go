@@ -142,14 +142,11 @@ func isTerminal(kind string) bool {
 // must be one shared order).
 func TestConcurrentClientsSingleFlightRace(t *testing.T) {
 	baseline := rpcGoroutines()
-	// Pinning Workers explicitly (to its own default) marks the runner
-	// dataset-affecting, which bypasses the process-global study cache:
-	// a repeat run in one process (-count=N) executes live instead of
-	// streaming a short cached replay past the churners.
-	srv := &Server{
-		Runner: &core.Runner{Configure: func(o *core.Options) { o.Workers = runtime.NumCPU() }},
-		Drain:  DrainCancel,
-	}
+	// Flushing the process-global study cache makes a repeat run in one
+	// process (-count=N) execute live instead of streaming a short
+	// cached replay past the churners.
+	core.FlushCachedRuns()
+	srv := &Server{Drain: DrainCancel}
 	const spec = "seed 881001\\nenvs aws-eks-cpu google-gke-cpu\\nscales 2 4\\niterations 2\\n"
 	submitLine := `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"` + spec + `"}}`
 

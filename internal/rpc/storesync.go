@@ -16,12 +16,10 @@ package rpc
 // is absent.
 
 import (
-	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
-	"strconv"
 
 	"cloudhpc/internal/oras"
 	"cloudhpc/internal/store"
@@ -242,52 +240,34 @@ func (p StorePeer) Fetch(ctx context.Context, digest string) ([]byte, error) {
 // so the server's per-connection staging sees them in order.
 func (p StorePeer) Put(ctx context.Context, data []byte) (string, error) {
 	digest := store.DigestOf(data)
-	var body bytes.Buffer
-	n := 0
-	for off := 0; ; off += syncChunkBytes {
-		end := min(off+syncChunkBytes, len(data))
-		params, err := json.Marshal(StorePutParams{
-			Digest: digest,
-			Offset: int64(off),
-			Data:   base64.StdEncoding.EncodeToString(data[off:end]),
-			Last:   end == len(data),
-		})
-		if err != nil {
-			return "", err
-		}
-		n++
-		line, err := json.Marshal(request{JSONRPC: "2.0", ID: json.RawMessage(strconv.Itoa(n)), Method: "store.put", Params: params})
-		if err != nil {
-			return "", err
-		}
-		body.Write(line)
-		body.WriteByte('\n')
-		if end == len(data) {
-			break
-		}
-	}
-	respBody, err := p.C.postBody(ctx, body.Bytes())
-	if err != nil {
+	var b batch
+	if err := b.addBlob(digest, data); err != nil {
 		return "", err
 	}
-	defer respBody.Close()
-	sc := newLineScanner(respBody)
 	var res StorePutResult
-	for i := 0; i < n; i++ {
-		if !sc.Scan() {
-			if err := sc.Err(); err != nil {
-				return "", err
-			}
-			return "", fmt.Errorf("rpc: store.put: %d of %d chunk replies", i, n)
-		}
-		if err := decodeResponse(sc.Bytes(), &res); err != nil {
-			return "", err
-		}
+	if err := b.send(ctx, p.C, "store.put", &res); err != nil {
+		return "", err
 	}
 	if !res.Stored {
 		return "", fmt.Errorf("rpc: store.put %s: final chunk not acknowledged as stored", digest)
 	}
 	return res.Digest, nil
+}
+
+// addBlob appends data's store.put chunk lines, syncChunkBytes each.
+func (b *batch) addBlob(digest string, data []byte) error {
+	for off := 0; ; off += syncChunkBytes {
+		end := min(off+syncChunkBytes, len(data))
+		err := b.add("store.put", StorePutParams{
+			Digest: digest,
+			Offset: int64(off),
+			Data:   base64.StdEncoding.EncodeToString(data[off:end]),
+			Last:   end == len(data),
+		})
+		if err != nil || end == len(data) {
+			return err
+		}
+	}
 }
 
 // SetRefs implements store.Peer.

@@ -31,11 +31,11 @@ var update = flag.Bool("update", false, "rewrite golden transcripts from the liv
 //	go test ./internal/rpc -run TestTranscript -update
 //
 // Each scenario uses a distinct seed so the scenarios stay independent,
-// and transcriptServer pins workers through a dataset-affecting
-// Configure rather than a spec line: that bypasses the runner's
-// process-global memory tier (see core.Runner.Configure), so a repeat
-// run in one process (-count=N) recomputes and transcribes identically
-// instead of hitting the study cache with a different event stream.
+// and transcriptServer flushes the runner's process-global memory tier
+// (core.FlushCachedRuns), so a repeat run in one process (-count=N)
+// recomputes and transcribes identically instead of hitting the study
+// cache with a different event stream. The scenarios run serially, so
+// the flush never races another test's study.
 
 // transcript accumulates the scripted conversation, safe for the
 // forwarder-driven interleavings of multi-connection scenarios.
@@ -240,15 +240,13 @@ func checkGolden(t *testing.T, name, got string) {
 
 const initLine = `{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"protocolVersion":"1","client":{"name":"conformance","version":"test"}}}`
 
-// transcriptServer builds the server under test: single-worker studies
-// for a deterministic event order, pinned via Configure (not a spec
-// line) so every submit recomputes instead of hitting the process-global
-// study cache — see the package comment.
+// transcriptServer builds the server under test over a flushed memory
+// tier, so every submit recomputes instead of hitting the process-global
+// study cache — see the package comment. The scripts' specs say
+// "workers 1" for a deterministic event order.
 func transcriptServer() *Server {
-	return &Server{
-		Runner: &core.Runner{Configure: func(o *core.Options) { o.Workers = 1 }},
-		Info:   Implementation{Name: "cloudhpc-serve", Version: "test"},
-	}
+	core.FlushCachedRuns()
+	return &Server{Info: Implementation{Name: "cloudhpc-serve", Version: "test"}}
 }
 
 // TestTranscriptHappyPath pins the full life of one study over one
@@ -261,7 +259,7 @@ func TestTranscriptHappyPath(t *testing.T) {
 	c := tr.connect(srv, "C1")
 	c.send(initLine)
 	c.recv()
-	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880001\nenvs google-gke-cpu\nscales 2\niterations 1\n"}}`)
+	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880001\nenvs google-gke-cpu\nscales 2\niterations 1\nworkers 1\n"}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1"}}`)
 	// Response, then study-started, started/finished/progress for each of
@@ -296,7 +294,7 @@ func TestTranscriptCancelMidStudy(t *testing.T) {
 	c := tr.connect(srv, "C1")
 	c.send(initLine)
 	c.recv()
-	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880002\nenvs google-gke-cpu\nscales 2 4 8 16 32 64 128 256\niterations 1000\n"}}`)
+	c.send(`{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880002\nenvs google-gke-cpu\nscales 2 4 8 16 32 64 128 256\niterations 1000\nworkers 1\n"}}`)
 	c.recv()
 	c.send(`{"jsonrpc":"2.0","id":3,"method":"study.subscribe","params":{"session":"S1"}}`)
 	c.recvN(36) // response, study-started, 11 units × 3 events, env-started — then the stream goes quiet
@@ -322,7 +320,7 @@ func TestTranscriptCancelMidStudy(t *testing.T) {
 func TestTranscriptReattach(t *testing.T) {
 	tr := &transcript{t: t}
 	srv := transcriptServer()
-	const submitLine = `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880003\nenvs aws-eks-cpu google-gke-cpu\nscales 2 4\niterations 2\n"}}`
+	const submitLine = `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880003\nenvs aws-eks-cpu google-gke-cpu\nscales 2 4\niterations 2\nworkers 1\n"}}`
 
 	c1 := tr.connect(srv, "C1")
 	c1.send(initLine)
