@@ -261,6 +261,9 @@ func TestSpecHashSeparatesSpecsAtSameSeed(t *testing.T) {
 		{Seed: 2025, Scales: []int{8}},
 		{Seed: 2025, Iterations: 2},
 		{Seed: 2025, Chaos: "default"},
+		{Seed: 2025, Pause: time.Hour},
+		{Seed: 2025, TestClusters: true},
+		{Seed: 2025, AbortOverBudget: true},
 	}
 	baseHash, err := base.Hash()
 	if err != nil {

@@ -90,7 +90,7 @@ func TestSubscribeFinishedSessionFlushesOnce(t *testing.T) {
 	srv := transcriptServer()
 	defer srv.Shutdown()
 	h := srv.Handler()
-	postRecorded(h, `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880001\nenvs google-gke-cpu\nscales 2\niterations 1\n"}}`)
+	postRecorded(h, `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"seed 880001\nenvs google-gke-cpu\nscales 2\niterations 1\nworkers 1\n"}}`)
 	ss, e := srv.lookup("S1")
 	if e != nil {
 		t.Fatal(e)
