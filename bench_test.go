@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -29,12 +30,17 @@ import (
 	"cloudhpc/internal/usability"
 )
 
-// The full study is shared across benchmarks via the Runner's memory
-// tier; regenerating artifacts from the cached dataset is what each bench
-// times (plus the benches below that time the full study itself).
+// fullStudy computes the default seed-2025 dataset once per test binary.
+var fullStudy = sync.OnceValues(func() (*core.Results, error) {
+	return (&core.Runner{}).Run(context.Background(), core.DefaultSpec(2025))
+})
+
+// studyResults is the full study, shared read-only across benchmarks:
+// regenerating artifacts from it is what each bench times (plus the
+// benches below that time the full study itself).
 func studyResults(b *testing.B) *core.Results {
 	b.Helper()
-	res, err := (&core.Runner{}).Run(context.Background(), core.DefaultSpec(2025))
+	res, err := fullStudy()
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -42,13 +48,9 @@ func studyResults(b *testing.B) *core.Results {
 }
 
 // computeStudy runs the default study at seed with the given worker
-// count through a store-less Runner, flushing the memory tier first: the
-// timing benches reuse seeds across b.N rounds and sub-benchmarks, and
-// the spec hash ignores workers, so without the flush every run after
-// the first would time a map lookup.
+// count through a store-less Runner, which computes it end to end.
 func computeStudy(b *testing.B, seed uint64, workers int) *core.Results {
 	b.Helper()
-	core.FlushCachedRuns()
 	spec := core.DefaultSpec(seed)
 	spec.Workers = workers
 	res, err := (&core.Runner{}).Run(context.Background(), spec)
@@ -528,14 +530,13 @@ func BenchmarkAutoscalingTradeoff(b *testing.B) {
 }
 
 // BenchmarkStudyStoreCold and BenchmarkStudyStoreWarm quantify what the
-// persistent result store buys. Cold is the worst case: the memory tier
-// is flushed, the store is fresh, so the study computes end to end and
-// every artifact — study bundle plus 143 unit artifacts — is serialized
-// into a new on-disk store. Warm flushes only the memory tier: the
-// dataset decodes whole from the store, no simulation at all. Compare
-// the ratio, not the absolutes.
+// persistent result store buys. Cold is the worst case: the store is
+// fresh, so the study computes end to end and every artifact — study
+// bundle plus 143 unit artifacts — is serialized into a new on-disk
+// store. Warm reruns the spec against the populated store: the dataset
+// decodes whole from it, no simulation at all. Compare the ratio, not
+// the absolutes.
 func BenchmarkStudyStoreCold(b *testing.B) {
-	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		rs, err := core.OpenResultStore(filepath.Join(b.TempDir(), fmt.Sprintf("store-%d", i)))
@@ -543,7 +544,6 @@ func BenchmarkStudyStoreCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		rs.Logf = nil
-		core.FlushCachedRuns()
 		b.StartTimer()
 		if _, err := (&core.Runner{Store: rs}).Run(context.Background(), core.DefaultSpec(2025)); err != nil {
 			b.Fatal(err)
@@ -559,16 +559,11 @@ func BenchmarkStudyStoreWarm(b *testing.B) {
 	}
 	rs.Logf = nil
 	r := &core.Runner{Store: rs}
-	defer core.FlushCachedRuns()
-	core.FlushCachedRuns()
 	if _, err := r.Run(context.Background(), core.DefaultSpec(2025)); err != nil { // populate the store
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		core.FlushCachedRuns()
-		b.StartTimer()
 		if _, err := r.Run(context.Background(), core.DefaultSpec(2025)); err != nil {
 			b.Fatal(err)
 		}
@@ -594,7 +589,6 @@ func BenchmarkRunnerStudySubscribed(b *testing.B) {
 }
 
 func benchRunnerStudy(b *testing.B, subscribe bool) {
-	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		rs, err := core.OpenResultStore(filepath.Join(b.TempDir(), fmt.Sprintf("store-%d", i)))
@@ -602,7 +596,6 @@ func benchRunnerStudy(b *testing.B, subscribe bool) {
 			b.Fatal(err)
 		}
 		rs.Logf = nil
-		core.FlushCachedRuns()
 		r := &core.Runner{Store: rs}
 		b.StartTimer()
 		sess, err := r.Start(context.Background(), core.DefaultSpec(2025))
@@ -641,7 +634,6 @@ func benchRunnerStudy(b *testing.B, subscribe bool) {
 // runner-cold number — an attached-but-empty fleet must cost one mutex
 // acquisition per unit, nothing more.
 func BenchmarkFleetLocalFallback(b *testing.B) {
-	defer core.FlushCachedRuns()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		rs, err := core.OpenResultStore(filepath.Join(b.TempDir(), fmt.Sprintf("store-%d", i)))
@@ -649,7 +641,6 @@ func BenchmarkFleetLocalFallback(b *testing.B) {
 			b.Fatal(err)
 		}
 		rs.Logf = nil
-		core.FlushCachedRuns()
 		co := fleet.New(fleet.Options{}, rs)
 		r := &core.Runner{Store: rs, Fleet: co}
 		b.StartTimer()

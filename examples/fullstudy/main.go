@@ -1,16 +1,12 @@
 // Fullstudy: run the entire cross-cloud study as an observable
 // core.Runner session — watching its progress events live — and slice
-// the cached dataset three ways.
+// the dataset three ways.
 //
 // Runner.Start returns a Session: a subscribable event stream
 // (study/env/unit started·finished·cached, injected incidents,
 // percent-complete from the partition plan), cooperative cancellation,
 // and Wait. Events are pure observation — the dataset is byte-identical
-// with or without subscribers. Runner.Run memoizes one execution per
-// canonical spec hash for the life of the process and single-flights
-// concurrent same-spec callers, so asking for a dataset repeatedly — as
-// this example, the root benchmarks, and the cmd/ tools all do — pays
-// for the simulation once.
+// with or without subscribers.
 package main
 
 import (
@@ -56,8 +52,6 @@ iterations 5
 			case core.EventEnvFinished:
 				fmt.Printf("  %-26s done (%d/%d units, %.0f%%)\n",
 					ev.Env, plan.Done, plan.Total, plan.Percent())
-			case core.EventStudyCached:
-				fmt.Printf("served from the %s cache\n", ev.Tier)
 			}
 		}
 	}()
@@ -75,14 +69,8 @@ iterations 5
 	fmt.Printf("AMG2023 cost range: $%.2f (%s) to $%.2f (%s)\n\n",
 		rows[0].TotalUSD, rows[0].Label, rows[len(rows)-1].TotalUSD, rows[len(rows)-1].Label)
 
-	// Slice 3: per-cloud spend (§3.4). The default spec at the same seed
-	// hashes identically to the spec above, so this second call returns
-	// the identical memoized dataset without re-running.
-	again, err := runner.Run(context.Background(), core.DefaultSpec(2025))
-	if err != nil {
-		log.Fatal(err)
-	}
-	costs := again.StudyCosts()
+	// Slice 3: per-cloud spend (§3.4).
+	costs := res.StudyCosts()
 	for _, p := range []cloud.Provider{cloud.AWS, cloud.Azure, cloud.Google} {
 		fmt.Printf("%-8s $%.2f\n", p, costs[p])
 	}

@@ -118,9 +118,8 @@ func TestOpenStore(t *testing.T) {
 }
 
 // TestRunSpecUsesStoreFlag: the -store handle reaches the Runner that
-// RunSpec builds. With the memory tier flushed between two runs of one
-// spec, the second must be a warm hit from the store, byte-identical to
-// the first.
+// RunSpec builds. Of two runs of one spec, the second must be a warm hit
+// from the store, byte-identical to the first.
 func TestRunSpecUsesStoreFlag(t *testing.T) {
 	dir := t.TempDir()
 	specFile := filepath.Join(dir, "small.spec")
@@ -141,7 +140,6 @@ func TestRunSpecUsesStoreFlag(t *testing.T) {
 		t.Fatalf("-store: %v %v", rs, err)
 	}
 	rs.Logf = t.Logf
-	defer core.FlushCachedRuns()
 
 	cold, err := f.RunSpec(spec)
 	if err != nil {
@@ -150,16 +148,12 @@ func TestRunSpecUsesStoreFlag(t *testing.T) {
 	if s := rs.Stats(); s.StudyMisses != 1 || s.StudyHits != 0 {
 		t.Fatalf("cold run stats = %+v, want one study miss", s)
 	}
-	core.FlushCachedRuns()
 	warm, err := f.RunSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := rs.Stats(); s.StudyHits != 1 {
 		t.Fatalf("second run stats = %+v, want it served from the -store directory", s)
-	}
-	if warm == cold {
-		t.Fatal("second run came from the memory tier; the flush did not take")
 	}
 	if len(warm.Runs) != len(cold.Runs) || warm.Log.Render() != cold.Log.Render() {
 		t.Fatal("store-served dataset differs from the computed one")

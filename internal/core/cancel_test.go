@@ -15,7 +15,7 @@ import (
 // coreGoroutines counts live goroutines spawned by this package's code —
 // a goleak-style probe. Test goroutines themselves (which also carry
 // core frames) are excluded by their testing.tRunner frame; executor
-// workers, runner leaders, and session followers never have one.
+// workers and runner goroutines never have one.
 func coreGoroutines() int {
 	buf := make([]byte, 1<<20)
 	n := runtime.Stack(buf, true)

@@ -60,11 +60,11 @@
 //
 // # Caching and persistence
 //
-// Runner resolves a dataset through three tiers: a per-process memory
-// map keyed by canonical spec hash — single-flight, so concurrent
-// same-spec callers share one execution — a persistent content-addressed
-// ResultStore when Runner.Store is set (-store DIR via internal/cli), and
-// finally study execution. The store holds
+// A run goes store → compute: when Runner.Store is set (-store DIR via
+// internal/cli), the persistent content-addressed ResultStore serves a
+// spec it holds, keyed by canonical spec hash; otherwise the study
+// executes and, with a store, is saved. A Runner keeps no dataset
+// between runs, so each call runs its own execution. The store holds
 // whole-study bundles under "study/<spec-hash>" and per-(env, app) unit
 // outputs under "unit/<sub-hash>" (UnitKey); because a unit's sub-hash
 // covers only that unit's own inputs, a spec that edits one environment

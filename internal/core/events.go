@@ -15,8 +15,7 @@ const (
 	// plan is fixed and Total carries its work-unit count.
 	EventStudyStarted EventKind = "study-started"
 	// EventStudyCached reports that the dataset was served without
-	// execution; Tier says from where ("memory" — the in-process
-	// single-flight cache — or "store", the persistent result store).
+	// execution, from the persistent result store (Tier "store").
 	EventStudyCached EventKind = "study-cached"
 	// EventStudyFinished closes a successful session's stream.
 	EventStudyFinished EventKind = "study-finished"
@@ -77,7 +76,7 @@ type Event struct {
 	Kind EventKind
 	Env  string
 	App  string
-	// Tier is the serving tier on EventStudyCached: "memory" or "store".
+	// Tier is the serving tier on EventStudyCached: always "store".
 	Tier string
 	// Err is set on EventStudyFailed and EventEnvFailed.
 	Err error

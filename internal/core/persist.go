@@ -124,11 +124,10 @@ type StoreStats struct {
 	CorruptFallbacks int64 // artifacts present but unreadable (fell back)
 }
 
-// ResultStore is the persistent tier between the in-process spec-hash
-// cache and study execution: an oras registry over a pluggable blob
-// store holding study bundles and unit artifacts. Safe for concurrent
-// use. The zero value is not usable; use NewResultStore or
-// OpenResultStore.
+// ResultStore is the persistent tier in front of study execution: an
+// oras registry over a pluggable blob store holding study bundles and
+// unit artifacts. Safe for concurrent use. The zero value is not
+// usable; use NewResultStore or OpenResultStore.
 type ResultStore struct {
 	reg *oras.Registry
 	// Logf receives warm-hit notices and corruption warnings (default

@@ -33,20 +33,6 @@ func quietStore(t *testing.T) (*ResultStore, *store.Memory) {
 	return rs, mem
 }
 
-// dropCacheEntry evicts a spec from the in-process memory tier so the
-// next Runner call exercises the store tier.
-func dropCacheEntry(t *testing.T, spec *StudySpec) string {
-	t.Helper()
-	key, err := spec.Hash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheMu.Lock()
-	delete(cache, key)
-	cacheMu.Unlock()
-	return key
-}
-
 // TestStoreWarmAndIncrementalByteIdenticalSweep is the acceptance sweep
 // for the persistent tier: across workers {1,4,32}, clean and chaotic,
 // three paths must be byte-identical to the store-free baseline —
@@ -202,7 +188,6 @@ func TestRunnerStoreTierServesWithoutCompute(t *testing.T) {
 	}
 	missesAfterCold := rs.Stats().UnitMisses
 
-	dropCacheEntry(t, spec)
 	res2, err := r.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +225,10 @@ func TestRunnerCorruptBlobFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := dropCacheEntry(t, spec)
+	key, err := spec.Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Damage every layer of the stored bundle underneath the registry.
 	files, err := rs.reg.Pull("study/" + key)
@@ -273,41 +261,6 @@ func TestRunnerCorruptBlobFallsBack(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no fallback warning logged; warnings: %v", warnings)
-	}
-}
-
-// TestRunnerConcurrentSameSpecComputesOnce: duplicate concurrent callers
-// coalesce onto one load-or-compute even with the store tier in the
-// path.
-func TestRunnerConcurrentSameSpecComputesOnce(t *testing.T) {
-	t.Parallel()
-	rs, _ := quietStore(t)
-	spec := &StudySpec{Seed: 771004, Envs: []string{"onprem-b-gpu"}}
-	models := len(apps.All())
-
-	const callers = 8
-	results := make([]*Results, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			res, err := (&Runner{Store: rs}).Run(context.Background(), spec)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatal("concurrent callers got different result instances — study ran more than once")
-		}
-	}
-	if s := rs.Stats(); s.StudyMisses != 1 || s.UnitMisses != int64(models) || s.UnitHits != 0 {
-		t.Fatalf("concurrent callers did redundant work: %+v", s)
 	}
 }
 

@@ -2,15 +2,13 @@ package core
 
 import (
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
-	"cloudhpc/internal/store"
 	"cloudhpc/internal/trace"
 )
 
@@ -145,153 +143,6 @@ func TestSessionEmitsIncidents(t *testing.T) {
 	}
 }
 
-// TestRunnerSingleFlight: concurrent same-spec callers through one
-// Runner share a single execution — every caller receives the same
-// *Results value — and later callers are served from the memory tier
-// with a study-cached event.
-func TestRunnerSingleFlight(t *testing.T) {
-	t.Parallel()
-	spec := &StudySpec{Seed: 880001, Envs: []string{"azure-aks-cpu"}, Scales: []int{2, 4}, Iterations: 2}
-	r := &Runner{}
-	const callers = 8
-	results := make([]*Results, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := r.Run(context.Background(), spec)
-			if err != nil {
-				t.Errorf("caller %d: %v", i, err)
-				return
-			}
-			results[i] = res
-		}()
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if results[i] != results[0] {
-			t.Fatalf("caller %d got a different Results value: single-flight failed", i)
-		}
-	}
-
-	// A later Start is a memory-tier hit, visible on its event stream.
-	sess, err := r.Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sess.Wait()
-	if err != nil || res != results[0] {
-		t.Fatalf("memory-tier Start: res=%p err=%v, want shared %p", res, err, results[0])
-	}
-	ch, _ := sess.Subscribe()
-	evs := collectEvents(ch)()
-	cached := kinds(evs, EventStudyCached)
-	if len(cached) != 1 || cached[0].Tier != "memory" {
-		t.Fatalf("memory hit events = %+v, want one study-cached tier=memory", evs)
-	}
-}
-
-// TestRunnerSharedCtxErrorNotMemoized: cancelling the leading session
-// hands every concurrent caller the shared context error, and the
-// cancellation is not memoized — the next caller computes fresh. The
-// study's first store Put is held until the leader is cancelled, so the
-// execution is provably in flight when the followers join and the
-// cancel lands, however the host schedules it.
-func TestRunnerSharedCtxErrorNotMemoized(t *testing.T) {
-	t.Parallel()
-	spec := &StudySpec{Seed: 880002, Workers: 1}
-	dropCacheEntry(t, spec) // a memoized earlier run (-count) would make no Put
-	gate := &firstPutGate{BlobStore: store.NewMemory(), blocked: make(chan struct{}), release: make(chan struct{})}
-	var releaseOnce sync.Once
-	release := func() { releaseOnce.Do(func() { close(gate.release) }) }
-	defer release()
-	rs := NewResultStore(gate)
-	rs.Logf = t.Logf
-	r := &Runner{Store: rs}
-	leader, err := r.Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The one worker is now inside the study's first unit save, and
-	// stays there until release.
-	select {
-	case <-gate.blocked:
-	case <-leader.Done():
-		t.Fatal("the study finished without a store Put")
-	}
-	var followers []*Session
-	for i := 0; i < 3; i++ {
-		f, err := r.Start(context.Background(), spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		followers = append(followers, f)
-	}
-	leader.Cancel()
-	release()
-	if _, err := leader.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("leader Wait = %v, want context.Canceled", err)
-	}
-	for i, f := range followers {
-		if _, err := f.Wait(); !errors.Is(err, context.Canceled) {
-			t.Fatalf("follower %d Wait = %v, want the shared context.Canceled", i, err)
-		}
-	}
-	// Not poisoned: a fresh caller computes and succeeds.
-	res, err := r.Run(context.Background(), spec)
-	if err != nil || res == nil {
-		t.Fatalf("post-cancellation Run = (%v, %v), want a fresh dataset", res, err)
-	}
-}
-
-// firstPutGate holds the first Put into its store until release is
-// closed, closing blocked when that Put arrives.
-type firstPutGate struct {
-	store.BlobStore
-	once             sync.Once
-	blocked, release chan struct{}
-}
-
-func (g *firstPutGate) Put(data []byte) (string, error) {
-	first := false
-	g.once.Do(func() {
-		first = true
-		close(g.blocked)
-	})
-	if first {
-		<-g.release
-	}
-	return g.BlobStore.Put(data)
-}
-
-// TestRunnerFollowerDetachesOnOwnCtx: a follower whose own context is
-// cancelled detaches immediately while the shared execution keeps
-// running to a successful result for everyone else.
-func TestRunnerFollowerDetachesOnOwnCtx(t *testing.T) {
-	t.Parallel()
-	spec := &StudySpec{Seed: 880003, Workers: 1}
-	r := &Runner{}
-	leader, err := r.Start(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fctx, fcancel := context.WithCancel(context.Background())
-	follower, err := r.Start(fctx, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcancel()
-	if _, err := follower.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("detached follower Wait = %v, want its own context.Canceled", err)
-	}
-	res, err := leader.Wait()
-	if err != nil || res == nil {
-		t.Fatalf("leader Wait after follower detach = (%v, %v), want success", res, err)
-	}
-}
-
 // TestRunnerStoreTierEmitsStudyCached: a Start served warm from the
 // persistent store announces it on the event stream.
 func TestRunnerStoreTierEmitsStudyCached(t *testing.T) {
@@ -302,7 +153,6 @@ func TestRunnerStoreTierEmitsStudyCached(t *testing.T) {
 	if _, err := r.Run(context.Background(), spec); err != nil {
 		t.Fatal(err)
 	}
-	dropCacheEntry(t, spec)
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
@@ -318,12 +168,46 @@ func TestRunnerStoreTierEmitsStudyCached(t *testing.T) {
 	}
 }
 
+// TestRunnerKeepsNoDatasetBetweenRuns: a Runner holds nothing of a
+// finished run, so one that serves many distinct specs does not grow.
+// After a warm-up run, 200 distinct one-environment specs through one
+// store-less Runner must leave the heap, after a GC, less than 1 MB
+// above where it stood. Not parallel: other tests' allocations would
+// land in the measurement.
+func TestRunnerKeepsNoDatasetBetweenRuns(t *testing.T) {
+	r := &Runner{}
+	run := func(seed uint64) {
+		t.Helper()
+		spec := &StudySpec{Seed: seed, Envs: []string{"google-gke-cpu"}, Scales: []int{2, 4}, Iterations: 2}
+		if _, err := r.Run(context.Background(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	run(880100)
+	before := heap()
+	for seed := uint64(880101); seed <= 880300; seed++ {
+		run(seed)
+	}
+	const bound = 1 << 20
+	grew := heap() - before
+	t.Logf("200 distinct specs grew the heap by %d bytes", grew)
+	if grew >= bound {
+		t.Fatalf("200 distinct specs grew the heap by %d bytes, want < %d: the Runner keeps datasets between runs", grew, bound)
+	}
+}
+
 // TestDisciplinesAreSpecDirectives: the §4.2 disciplines are part of
-// the spec. A disciplined dataset is memoized under its own key, next to
-// the undisciplined one, and one with all three disciplines survives a
-// save to the study store and a warm load unchanged. (That each
-// discipline changes the hash, and that they round-trip through the
-// spec text, is pinned by the spec tests.)
+// the spec. A paused spec runs a different dataset from the plain one,
+// and one with all three disciplines survives a save to the study store
+// and a warm load unchanged. (That each discipline changes the hash, and
+// that they round-trip through the spec text, is pinned by the spec
+// tests.)
 func TestDisciplinesAreSpecDirectives(t *testing.T) {
 	t.Parallel()
 	spec := func() *StudySpec {
@@ -341,26 +225,15 @@ func TestDisciplinesAreSpecDirectives(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if paused == plain {
-		t.Fatal("a paused spec was served the unpaused dataset")
+	if goldenSnapshot(paused) == goldenSnapshot(plain) {
+		t.Fatal("a paused spec ran the unpaused dataset")
 	}
 	if n := len(paused.Log.Filter(func(e trace.Event) bool { return strings.HasPrefix(e.Msg, "paused 1h0m0s") })); n != 2 {
 		t.Fatalf("paused dataset logs %d pauses, want one per cluster size (2)", n)
 	}
-	repeat := spec()
-	repeat.Pause = time.Hour
-	if got, err := r.Run(context.Background(), repeat); err != nil || got != paused {
-		t.Fatalf("paused rerun = (%p, %v), want memoized %p", got, err, paused)
-	}
-	if got, err := r.Run(context.Background(), spec()); err != nil || got != plain {
-		t.Fatalf("plain rerun = (%p, %v), want memoized %p", got, err, plain)
-	}
 
-	// Evict the disciplined spec from the memory tier so this pass
-	// computes it into its own fresh store, whatever ran before.
 	all := spec()
 	all.Pause, all.TestClusters, all.AbortOverBudget = 26*time.Hour, true, true
-	dropCacheEntry(t, all)
 	rs, _ := quietStore(t)
 	computed, err := (&Runner{Store: rs}).Run(context.Background(), all)
 	if err != nil {
@@ -380,16 +253,14 @@ func TestDisciplinesAreSpecDirectives(t *testing.T) {
 }
 
 // TestFullStudyAllocs caps what computing the default study allocates
-// through a store-less Runner. The memory tier is flushed before every
-// run, so each one computes the study end to end.
+// through a store-less Runner, which computes the study end to end on
+// every run.
 func TestFullStudyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are off under -race")
 	}
-	defer FlushCachedRuns()
 	const ceiling = 22000
 	got := testing.AllocsPerRun(3, func() {
-		FlushCachedRuns()
 		if _, err := (&Runner{}).Run(context.Background(), DefaultSpec(2025)); err != nil {
 			t.Fatal(err)
 		}

@@ -153,9 +153,7 @@ func (s *Session) Done() <-chan struct{} { return s.done }
 
 // Cancel requests cooperative cancellation: the executor stops
 // dispatching new work units, drains in-flight ones, and Wait returns
-// the context error. Cancelling a session that leads a single-flight
-// execution cancels it for every caller sharing it; cancelling a
-// follower detaches only that follower.
+// the context error.
 func (s *Session) Cancel() {
 	if s.cancel != nil {
 		s.cancel()
@@ -164,7 +162,7 @@ func (s *Session) Cancel() {
 
 // Progress reports completed and planned work-unit counts from the
 // partition plan. Total is 0 until the study starts (and stays 0 for a
-// dataset served from a cache tier — there is no plan to execute).
+// dataset served from the store — there is no plan to execute).
 func (s *Session) Progress() (done, total int) {
 	return int(s.completed.Load()), int(s.total.Load())
 }

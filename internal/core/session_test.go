@@ -3,25 +3,16 @@ package core
 import (
 	"context"
 	"reflect"
-	"sync/atomic"
 	"testing"
 )
-
-// resumeRuns numbers the invocations of TestSubscribeFromResumesExactly
-// in one process, so each runs a seed no earlier invocation memoized.
-var resumeRuns atomic.Uint64
 
 // TestSubscribeFromResumesExactly pins the reattach primitive: a
 // subscriber that detaches mid-stream and resubscribes with its last
 // sequence number receives exactly the events it missed, in order, with
-// nothing counted missed — provided the replay ring is wide enough. The
-// study must compute: a memory-tier hit streams two events, and the
-// resume would compare empty tails. A repeat run in one process
-// (-count=N) therefore takes a fresh seed instead of flushing the tier,
-// which the package's parallel tests rely on.
+// nothing counted missed — provided the replay ring is wide enough.
 func TestSubscribeFromResumesExactly(t *testing.T) {
 	t.Parallel()
-	spec := &StudySpec{Seed: 770001 + resumeRuns.Add(1)<<32, Workers: 1}
+	spec := &StudySpec{Seed: 770001, Workers: 1}
 	r := &Runner{}
 	sess, err := r.Start(context.Background(), spec)
 	if err != nil {
@@ -129,8 +120,8 @@ func TestReplayRingOverflowCounted(t *testing.T) {
 // 1-worker session emits the same stream — kinds, coordinates and plan
 // counts — with no result store as over a fresh one, because every
 // deployed environment's units run as their own pool tasks either way.
-// Not parallel: it flushes the process-wide memory tier before each run.
 func TestEventStreamIndependentOfStore(t *testing.T) {
+	t.Parallel()
 	spec := &StudySpec{Seed: 770005, Envs: []string{"aws-eks-cpu", "onprem-a-cpu"}, Scales: []int{2, 4}, Iterations: 2, Workers: 1}
 	type step struct {
 		Kind        EventKind
@@ -139,7 +130,6 @@ func TestEventStreamIndependentOfStore(t *testing.T) {
 	}
 	stream := func(rs *ResultStore) []step {
 		t.Helper()
-		FlushCachedRuns()
 		sess, err := (&Runner{Store: rs}).Start(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +159,7 @@ func TestEventStreamIndependentOfStore(t *testing.T) {
 // Done is closed and Wait answers, so a progress query sent right after
 // it can never find the session still running. A wrong order shows only
 // when the subscriber wins a narrow race, so the test runs many short
-// sessions; after the first, each is served by the memory tier.
+// sessions.
 func TestSessionDoneBeforeTerminalEvent(t *testing.T) {
 	t.Parallel()
 	spec := &StudySpec{Seed: 770006, Envs: []string{"google-gke-cpu"}, Apps: []string{"lammps"}, Scales: []int{2}, Iterations: 1, Workers: 1}

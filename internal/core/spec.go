@@ -396,10 +396,11 @@ func (s *StudySpec) Resolve() (*ResolvedSpec, error) {
 // Hash returns the canonical content hash of everything that determines
 // the dataset: the seed, the resolved environment rows (keys and scales),
 // the resolved model names, the iteration count, each §4.2 discipline the
-// spec sets (see writeDisciplines), and the resolved chaos plan text (so two references to the same plan hash alike, and editing a
-// plan file changes the hash). Execution policy — Workers — is
-// deliberately excluded: the dataset is invariant under it, so cache
-// entries are shared across it.
+// spec sets (see writeDisciplines), and the resolved chaos plan text
+// (so two references to the same plan hash alike, and editing a plan
+// file changes the hash). Execution policy — Workers — is deliberately
+// excluded: the dataset is invariant under it, so store entries are
+// shared across it.
 func (s *StudySpec) Hash() (string, error) {
 	r, err := s.Resolve()
 	if err != nil {

@@ -313,37 +313,42 @@ func TestSpecHashSeparatesSpecsAtSameSeed(t *testing.T) {
 	}
 }
 
-// TestRunnerSameSeedSpecsDoNotCollide: the memory tier keys by spec
-// hash, not seed, so two specs at one seed are two entries and one spec
-// is one entry.
+// TestRunnerSameSeedSpecsDoNotCollide: the study store keys by spec
+// hash, not seed, so two specs at one seed are two entries, and specs
+// differing only in execution policy are one.
 func TestRunnerSameSeedSpecsDoNotCollide(t *testing.T) {
 	t.Parallel()
-	r := &Runner{}
-	full := fullStudy(t)
-	subset, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
+	rs, _ := quietStore(t)
+	r := &Runner{Store: rs}
+	full, err := r.Run(context.Background(), DefaultSpec(2025))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(subset.Runs) >= len(full.Runs) {
-		t.Fatalf("subset dataset (%d runs) not smaller than full (%d) — same-seed specs collided in the cache",
-			len(subset.Runs), len(full.Runs))
-	}
-	// Same spec, same entry: pointer-identical shared Results.
-	again, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Envs: []string{"onprem-*"}})
+	subsetSpec := func() *StudySpec { return &StudySpec{Seed: 2025, Envs: []string{"onprem-*"}} }
+	subset, err := r.Run(context.Background(), subsetSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again != subset {
-		t.Fatal("identical specs must share one cache entry")
+	if s := rs.Stats(); s.StudyHits != 0 || len(subset.Runs) >= len(full.Runs) {
+		t.Fatalf("subset dataset (%d runs, stats %+v) not smaller than full (%d) — same-seed specs collided in the store",
+			len(subset.Runs), s, len(full.Runs))
 	}
-	// And a policy-only difference shares the default-spec entry: the
+	// Same spec, same entry: a store hit with the same dataset.
+	again, err := r.Run(context.Background(), subsetSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := rs.Stats(); s.StudyHits != 1 || goldenSnapshot(again) != goldenSnapshot(subset) {
+		t.Fatalf("identical specs must share one store entry: stats %+v", s)
+	}
+	// And a policy-only difference shares the default spec's entry: the
 	// hash excludes workers.
 	fullAgain, err := r.Run(context.Background(), &StudySpec{Seed: 2025, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fullAgain != full {
-		t.Fatal("specs differing only in execution policy must share one cache entry")
+	if s := rs.Stats(); s.StudyHits != 2 || goldenSnapshot(fullAgain) != goldenSnapshot(full) {
+		t.Fatalf("specs differing only in execution policy must share one store entry: stats %+v", s)
 	}
 }
 

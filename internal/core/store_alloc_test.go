@@ -127,9 +127,6 @@ func TestSubscribeFinishedSessionAllocsBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are off under -race")
 	}
-	// A fresh run, not the memory tier's two-event cached replay.
-	FlushCachedRuns()
-	defer FlushCachedRuns()
 	sess, err := (&Runner{}).Start(context.Background(), &StudySpec{Seed: 770004, Envs: []string{"aws-eks-cpu"}, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

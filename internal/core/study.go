@@ -45,10 +45,10 @@ type study struct {
 	// the next study. Runner.Store is the only way one gets here.
 	Store *ResultStore
 	// Fleet, when non-nil (and a Store is attached — the store is the
-	// artifact exchange), offloads units that miss the memory and store
-	// tiers to remote workers instead of computing them on the local
-	// pool. The delegate decides per unit; a refusal falls back to local
-	// compute, so execution never depends on fleet availability.
+	// artifact exchange), offloads units that miss the store to remote
+	// workers instead of computing them on the local pool. The delegate
+	// decides per unit; a refusal falls back to local compute, so
+	// execution never depends on fleet availability.
 	Fleet FleetDelegate
 }
 
@@ -99,7 +99,7 @@ type Results struct {
 
 // newStudy builds a study from an already-materialized spec. Runner
 // resolves once and builds from that, so the dataset executed always
-// matches the key it is memoized under even if a referenced chaos plan
+// matches the key it is stored under even if a referenced chaos plan
 // file changes on disk in between.
 func newStudy(r *ResolvedSpec) *study {
 	s := sim.New(r.Seed)

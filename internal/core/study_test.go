@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"cloudhpc/internal/apps"
@@ -14,7 +15,7 @@ import (
 // not expose (Meter budgets, the resolved spec, the merged study clock):
 // it resolves spec and builds the study a Runner would compute, with
 // store rs attached (nil for a store-free run). Callers adjust it and run
-// it once with runSession, outside the memory and study tiers.
+// it once with runSession, outside the study store.
 func newTestStudy(t *testing.T, spec *StudySpec, rs *ResultStore) (*study, *ResolvedSpec) {
 	t.Helper()
 	r, err := spec.Resolve()
@@ -26,12 +27,18 @@ func newTestStudy(t *testing.T, spec *StudySpec, rs *ResultStore) (*study, *Reso
 	return st, r
 }
 
-// fullStudy is the default seed-2025 dataset. The full study takes a few
-// hundred milliseconds; the Runner's memory tier shares one run across
-// the package's tests.
+// fullStudyOnce computes the default seed-2025 dataset once per test
+// binary for fullStudy.
+var fullStudyOnce = sync.OnceValues(func() (*Results, error) {
+	return (&Runner{}).Run(context.Background(), DefaultSpec(2025))
+})
+
+// fullStudy is the default seed-2025 dataset, shared read-only by the
+// package's tests: a Runner keeps no dataset between runs, and the full
+// study is too slow to compute once per test.
 func fullStudy(t *testing.T) *Results {
 	t.Helper()
-	res, err := (&Runner{}).Run(context.Background(), DefaultSpec(2025))
+	res, err := fullStudyOnce()
 	if err != nil {
 		t.Fatalf("full study: %v", err)
 	}

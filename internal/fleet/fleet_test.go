@@ -430,11 +430,7 @@ func TestStudyByteIdentity(t *testing.T) {
 		}
 	}
 
-	// Reference: plain local run, its own store, no fleet. The memory
-	// tier is flushed before it and before the fleet run, so each one
-	// computes: otherwise a repeat run in one process (-count=N) would
-	// compare one memoized dataset with itself.
-	core.FlushCachedRuns()
+	// Reference: plain local run, its own store, no fleet.
 	local, err := (&core.Runner{Store: newStore(t)}).Run(context.Background(), spec())
 	if err != nil {
 		t.Fatal(err)
@@ -481,7 +477,6 @@ func TestStudyByteIdentity(t *testing.T) {
 
 	// A different worker count (the executor is byte-identical across
 	// them) over a cold store: every unit goes to the fleet.
-	core.FlushCachedRuns()
 	remoteSpec := spec()
 	remoteSpec.Workers = 3
 	remote, err := (&core.Runner{Store: rs, Fleet: co}).Run(context.Background(), remoteSpec)

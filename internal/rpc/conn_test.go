@@ -148,9 +148,6 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 	gate := &gatedStore{BlobStore: store.NewMemory(), blocked: make(chan struct{}), release: make(chan struct{})}
 	rs := core.NewResultStore(gate)
 	rs.Logf = nil
-	// A repeat run in one process (-count=N) must compute the study
-	// again, or no Put ever blocks.
-	core.FlushCachedRuns()
 	srv := &Server{
 		Runner: &core.Runner{Store: rs},
 		Drain:  DrainCancel,
@@ -230,12 +227,14 @@ func TestEventsReachClientWhileStudyBlocks(t *testing.T) {
 }
 
 // TestServerKeepsRunnerCacheTiers: a server starts sessions on its
-// Runner as given, so its sessions keep the Runner's cache tiers. A
-// second Server over the same Runner submits a spec the first server
-// finished, and its stream is the memory tier's: study-cached with tier
-// memory, then study-finished, with no unit event.
+// Runner as given, so its sessions keep the Runner's store. A second
+// Server over the same Runner submits a spec the first server finished,
+// and its stream is the store's: study-cached with tier store, then
+// study-finished, with no unit event.
 func TestServerKeepsRunnerCacheTiers(t *testing.T) {
-	r := &core.Runner{}
+	rs := core.NewResultStore(store.NewMemory())
+	rs.Logf = nil
+	r := &core.Runner{Store: rs}
 	stream := func() []StudyEvent {
 		t.Helper()
 		srv := &Server{Runner: r}
@@ -265,14 +264,14 @@ func TestServerKeepsRunnerCacheTiers(t *testing.T) {
 	cached := 0
 	for _, ev := range stream() {
 		switch {
-		case ev.Kind == "study-cached" && ev.Tier == "memory":
+		case ev.Kind == "study-cached" && ev.Tier == "store":
 			cached++
 		case strings.HasPrefix(ev.Kind, "unit-"):
-			t.Fatalf("the second server's stream carries %s %s/%s: the study was not served from the memory tier", ev.Kind, ev.Env, ev.App)
+			t.Fatalf("the second server's stream carries %s %s/%s: the study was not served from the store", ev.Kind, ev.Env, ev.App)
 		}
 	}
 	if cached != 1 {
-		t.Fatalf("the second server's stream carries %d study-cached tier=memory events, want 1", cached)
+		t.Fatalf("the second server's stream carries %d study-cached tier=store events, want 1", cached)
 	}
 }
 

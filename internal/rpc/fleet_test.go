@@ -67,10 +67,7 @@ func TestFleetWorkerEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A spec no other test runs (unique seed), with the process-wide
-	// memory tier flushed so a repeat run (-count=N) computes its units
-	// again instead of serving the study from memory.
-	core.FlushCachedRuns()
+	// A spec no other test runs (unique seed).
 	spec := "seed 880915\nenvs google-gke-cpu aws-eks-cpu\nscales 2 4\niterations 2\n"
 	sub, err := client.Submit(context.Background(), spec)
 	if err != nil {

@@ -12,8 +12,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"cloudhpc/internal/core"
 )
 
 // rpcGoroutines counts live goroutines running this module's code — the
@@ -142,10 +140,6 @@ func isTerminal(kind string) bool {
 // must be one shared order).
 func TestConcurrentClientsSingleFlightRace(t *testing.T) {
 	baseline := rpcGoroutines()
-	// Flushing the process-global study cache makes a repeat run in one
-	// process (-count=N) execute live instead of streaming a short
-	// cached replay past the churners.
-	core.FlushCachedRuns()
 	srv := &Server{Drain: DrainCancel}
 	const spec = "seed 881001\\nenvs aws-eks-cpu google-gke-cpu\\nscales 2 4\\niterations 2\\n"
 	submitLine := `{"jsonrpc":"2.0","id":2,"method":"study.submit","params":{"spec":"` + spec + `"}}`

@@ -23,9 +23,9 @@ const (
 // Server is the study service: a long-lived registry of Runner sessions
 // addressed by ID, shared by every connection (stdio or HTTP). Submitting
 // a spec whose hash is already registered returns the existing session —
-// single-flight at the service layer, on top of the Runner's own — so any
-// number of clients submitting the same study observe one execution and
-// one event stream. The zero value serves with a zero Runner and the
+// the single-flight: a Runner runs every call it gets — so any number of
+// clients submitting the same study observe one execution and one event
+// stream. The zero value serves with a zero Runner and the
 // wait drain policy; fields must be set before the first connection is
 // served.
 type Server struct {

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cloudhpc/internal/core"
 )
 
 var update = flag.Bool("update", false, "rewrite golden transcripts from the live protocol")
@@ -30,12 +28,9 @@ var update = flag.Bool("update", false, "rewrite golden transcripts from the liv
 //
 //	go test ./internal/rpc -run TestTranscript -update
 //
-// Each scenario uses a distinct seed so the scenarios stay independent,
-// and transcriptServer flushes the runner's process-global memory tier
-// (core.FlushCachedRuns), so a repeat run in one process (-count=N)
-// recomputes and transcribes identically instead of hitting the study
-// cache with a different event stream. The scenarios run serially, so
-// the flush never races another test's study.
+// Each scenario uses a distinct seed so the scenarios stay independent.
+// A Runner keeps no dataset between runs, so a repeat run in one process
+// (-count=N) recomputes and transcribes identically.
 
 // transcript accumulates the scripted conversation, safe for the
 // forwarder-driven interleavings of multi-connection scenarios.
@@ -240,12 +235,10 @@ func checkGolden(t *testing.T, name, got string) {
 
 const initLine = `{"jsonrpc":"2.0","id":1,"method":"initialize","params":{"protocolVersion":"1","client":{"name":"conformance","version":"test"}}}`
 
-// transcriptServer builds the server under test over a flushed memory
-// tier, so every submit recomputes instead of hitting the process-global
-// study cache — see the package comment. The scripts' specs say
-// "workers 1" for a deterministic event order.
+// transcriptServer builds the server under test over a zero Runner, so
+// every submit computes — see the package comment. The scripts' specs
+// say "workers 1" for a deterministic event order.
 func transcriptServer() *Server {
-	core.FlushCachedRuns()
 	return &Server{Info: Implementation{Name: "cloudhpc-serve", Version: "test"}}
 }
 
