@@ -99,11 +99,7 @@ func Progress(w io.Writer, sess *core.Session) func() {
 			switch ev.Kind {
 			case core.EventStudyStarted:
 				plan = ev
-				if ev.Total > 0 {
-					fmt.Fprintf(w, "study: started — %d work units planned\n", ev.Total)
-				} else {
-					fmt.Fprintf(w, "study: attached to an in-flight execution of the same spec\n")
-				}
+				fmt.Fprintf(w, "study: started — %d work units planned\n", ev.Total)
 			case core.EventStudyCached:
 				fmt.Fprintf(w, "study: served from the %s cache, no execution needed\n", ev.Tier)
 			case core.EventEnvStarted:

@@ -264,6 +264,57 @@ func TestRunnerCorruptBlobFallsBack(t *testing.T) {
 	}
 }
 
+// TestRunnerConcurrentSameSpecSharesStore: concurrent same-spec callers
+// over one store each load or compute, every save of the same bundle
+// and unit artifacts succeeds, and the entry they leave serves the next
+// call from the store.
+func TestRunnerConcurrentSameSpecSharesStore(t *testing.T) {
+	t.Parallel()
+	rs, _ := quietStore(t)
+	spec := &StudySpec{Seed: 771004, Envs: []string{"onprem-b-gpu"}}
+
+	const callers = 8
+	results := make([]*Results, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := (&Runner{Store: rs}).Run(context.Background(), spec)
+			if err != nil {
+				t.Errorf("caller %d: %v", i, err)
+				return
+			}
+			results[i] = res
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	want := goldenSnapshot(results[0])
+	for i := 1; i < callers; i++ {
+		if goldenSnapshot(results[i]) != want {
+			t.Fatalf("caller %d got a different dataset", i)
+		}
+	}
+	before := rs.Stats()
+	if before.StudyHits+before.StudyMisses != callers || before.CorruptFallbacks != 0 {
+		t.Fatalf("concurrent callers: %+v", before)
+	}
+
+	res, err := (&Runner{Store: rs}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := rs.Stats(); after.StudyHits != before.StudyHits+1 || after.UnitMisses != before.UnitMisses {
+		t.Fatalf("run after the concurrent saves was not a store hit: before %+v, after %+v", before, after)
+	}
+	if goldenSnapshot(res) != want {
+		t.Fatal("stored entry serves a different dataset")
+	}
+}
+
 // TestUnitKeyCoversExactlyUnitInputs pins the sub-hash boundary: the key
 // moves with every input that changes a unit's draws or its consumption
 // schedule, and with the environment's own chaos slice — and with

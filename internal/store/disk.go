@@ -207,26 +207,19 @@ func createTemp(dir string) (*os.File, error) {
 // and rewrites it when the bytes no longer hash to the digest — the
 // self-healing path: after a torn write or bit rot, the recompute that
 // the corruption forced re-stores pristine content instead of leaving
-// the digest permanently poisoned behind the dedup check. The check
-// reads and hashes the file without holding the store's lock, so other
-// calls do not wait behind it; the rewrite and the inventory update
-// hold it.
+// the digest permanently poisoned behind the dedup check.
 func (s *Disk) Put(data []byte) (string, error) {
 	d := DigestOf(data)
 	h, _ := parseDigest(d)
-	path := s.blobPath(h)
 	s.mu.Lock()
-	_, held := s.blobs[d]
-	s.mu.Unlock()
-	if held {
-		if onDisk, err := os.ReadFile(path); err == nil && hasDigest(onDisk, d) {
+	defer s.mu.Unlock()
+	if _, ok := s.blobs[d]; ok {
+		if onDisk, err := os.ReadFile(s.blobPath(h)); err == nil && hasDigest(onDisk, d) {
 			return d, nil
 		}
 		// Damaged or unreadable: fall through and rewrite.
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.atomicWrite(path, data); err != nil {
+	if err := s.atomicWrite(s.blobPath(h), data); err != nil {
 		return "", err
 	}
 	// No ref write: the blob file itself is the durable record (Open

@@ -132,21 +132,16 @@ func NewMemory() *Memory {
 
 // Put implements BlobStore. Like Disk.Put it self-heals: re-storing a
 // digest whose held bytes were damaged (the Corrupt test hook) replaces
-// them with the pristine content. A held slice is never written in
-// place (Corrupt replaces it), so it is checked without the lock.
+// them with the pristine content.
 func (m *Memory) Put(data []byte) (string, error) {
 	d := DigestOf(data)
 	m.mu.Lock()
-	held, ok := m.blobs[d]
-	m.mu.Unlock()
-	if ok && hasDigest(held, d) {
-		return d, nil
+	defer m.mu.Unlock()
+	if held, ok := m.blobs[d]; !ok || !hasDigest(held, d) {
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		m.blobs[d] = cp
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	m.mu.Lock()
-	m.blobs[d] = cp
-	m.mu.Unlock()
 	return d, nil
 }
 
