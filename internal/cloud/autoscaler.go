@@ -81,12 +81,12 @@ func (a *Autoscaler) reconcile() {
 		a.opsUp++
 		a.log.Addf(a.sim.Now(), a.env, trace.Info, trace.Routine,
 			"autoscaler: scaling up by %d workers (op %d)", add, a.opsUp)
-		a.sim.After(a.ScaleUpDelay, func() {
+		a.sim.After(a.ScaleUpDelay, sim.Func(func() {
 			// Bill boot time: nodes charge from request, not readiness.
 			a.meter.ChargeNodeHours(a.env, a.itype, add, a.ScaleUpDelay, "worker boot")
 			a.pending -= add
 			a.workers += add
-		})
+		}))
 	case a.workers > want:
 		a.lastBusy = a.sim.Now()
 		if !a.idleCheck {
@@ -98,7 +98,7 @@ func (a *Autoscaler) reconcile() {
 
 // armIdleTimer schedules the scale-down check.
 func (a *Autoscaler) armIdleTimer() {
-	a.sim.After(a.IdleTimeout, func() {
+	a.sim.After(a.IdleTimeout, sim.Func(func() {
 		a.idleCheck = false
 		want := a.demand
 		if want < a.MinWorkers {
@@ -116,7 +116,7 @@ func (a *Autoscaler) armIdleTimer() {
 			a.idleCheck = true
 			a.armIdleTimer()
 		}
-	})
+	}))
 }
 
 // RunBusy bills d of work on n workers (the caller's job accounting).

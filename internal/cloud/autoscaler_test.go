@@ -101,11 +101,12 @@ func TestBusyWorkDefersScaleDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	as.SetDemand(0)
-	s.RunUntil(s.Now() + as.IdleTimeout/2)
-	if as.Workers() == 0 {
-		t.Fatalf("scale-down before the idle timeout")
-	}
+	midway := -1 // workers halfway through the idle timeout
+	s.After(as.IdleTimeout/2, sim.Func(func() { midway = as.Workers() }))
 	s.Run()
+	if midway <= 0 {
+		t.Fatalf("scale-down before the idle timeout: %d workers halfway through it", midway)
+	}
 	if as.Workers() != 0 {
 		t.Fatalf("eventually idle workers must go: %d", as.Workers())
 	}

@@ -259,7 +259,7 @@ func TestFullStudyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are off under -race")
 	}
-	const ceiling = 22000
+	const ceiling = 9300
 	got := testing.AllocsPerRun(3, func() {
 		if _, err := (&Runner{}).Run(context.Background(), DefaultSpec(2025)); err != nil {
 			t.Fatal(err)

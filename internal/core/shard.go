@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"cloudhpc/internal/apps"
@@ -53,6 +52,9 @@ type shard struct {
 	// planned holds the per-application unit outputs the shard's runs
 	// draw from (see unit.go), indexed like rspec.Models.
 	planned []*unitPlan
+	// jobNames is the study's [app][iter] job-name table, shared
+	// read-only.
+	jobNames [][]string
 	// store, when non-nil, serves and receives unit plans.
 	store *ResultStore
 	// unitChaos is the environment's chaos-plan slice in plan-file
@@ -110,20 +112,21 @@ func (st *study) newShard(spec apps.EnvSpec) *shard {
 	}
 	models := st.Spec.Models
 	sh := &shard{
-		spec:    spec,
-		rspec:   st.Spec,
-		sim:     s,
-		log:     log,
-		meter:   meter,
-		quota:   quota,
-		prov:    prov,
-		build:   containers.NewBuilder(s, log),
-		reg:     reg,
-		hookup:  st.Hookup,
-		chaos:   eng,
-		planned: make([]*unitPlan, len(models)),
-		store:   st.Store,
-		fleet:   st.Fleet,
+		spec:     spec,
+		rspec:    st.Spec,
+		sim:      s,
+		log:      log,
+		meter:    meter,
+		quota:    quota,
+		prov:     prov,
+		build:    containers.NewBuilder(s, log),
+		reg:      reg,
+		hookup:   st.Hookup,
+		chaos:    eng,
+		planned:  make([]*unitPlan, len(models)),
+		jobNames: st.jobNames,
+		store:    st.Store,
+		fleet:    st.Fleet,
 		res: &Results{
 			// Sized to the shard's full schedule (scale skips only leave
 			// slack); one backing array for the whole run set.
@@ -287,6 +290,13 @@ func (sh *shard) runScale(nodes int, images map[string]containers.Image) error {
 		// Spot reclaims only exist where nodes can be reclaimed.
 		scheduler.SetFaultInjector(sh.chaos)
 	}
+	// One slab holds a job for every run the scale plans; each run takes
+	// the next one, so a run allocates no job of its own.
+	runs := 0
+	for _, m := range sh.rspec.Models {
+		runs += itersFor(spec, nodes, m.Name(), sh.rspec.Iterations)
+	}
+	jobs := make([]sched.Job, runs)
 
 	for appIdx, m := range sh.rspec.Models {
 		if err := sh.canceled(); err != nil {
@@ -306,7 +316,9 @@ func (sh *shard) runScale(nodes int, images map[string]containers.Image) error {
 			continue
 		}
 		for it := 0; it < iters; it++ {
-			rec, err := sh.runOnce(appIdx, m, nodes, it, scheduler)
+			job := &jobs[0]
+			jobs = jobs[1:]
+			rec, err := sh.runOnce(appIdx, m, nodes, it, scheduler, job)
 			if err != nil {
 				return err
 			}
@@ -410,14 +422,14 @@ func (sh *shard) deployKubernetes(cluster *cloud.Cluster) (*sched.Scheduler, err
 }
 
 // runOnce submits one application run through the environment's scheduler
-// and records the outcome. The model result and hookup time come from the
-// application's unit plan (see unit.go); everything downstream of the
-// draw is the environment lifecycle and always replays here, in
-// canonical order. With a chaos engine attached, the run may hit a
-// degraded network window (stretching hookup and wall time — and
-// therefore cost) before submission, and a spot reclaim (via the
-// scheduler's fault injector) after it.
-func (sh *shard) runOnce(appIdx int, m apps.Model, nodes, iter int, scheduler *sched.Scheduler) (RunRecord, error) {
+// as job, its slot in the scale's slab, and records the outcome. The
+// model result and hookup time come from the application's unit plan (see
+// unit.go); everything downstream of the draw is the environment
+// lifecycle and always replays here, in canonical order. With a chaos
+// engine attached, the run may hit a degraded network window (stretching
+// hookup and wall time — and therefore cost) before submission, and a
+// spot reclaim (via the scheduler's fault injector) after it.
+func (sh *shard) runOnce(appIdx int, m apps.Model, nodes, iter int, scheduler *sched.Scheduler, job *sched.Job) (RunRecord, error) {
 	spec := sh.spec
 	result, hookup, err := sh.draw(appIdx, m, nodes, iter)
 	if err != nil {
@@ -428,7 +440,7 @@ func (sh *shard) runOnce(appIdx int, m apps.Model, nodes, iter int, scheduler *s
 		wall, hookup = sh.chaos.DegradeRun(nodes, wall, hookup)
 	}
 
-	job := &sched.Job{Name: m.Name() + "-" + strconv.Itoa(iter), Nodes: nodes, Duration: wall, Hookup: hookup}
+	*job = sched.Job{Name: sh.jobNames[appIdx][iter], Nodes: nodes, Duration: wall, Hookup: hookup}
 	if err := scheduler.Submit(job); err != nil {
 		return RunRecord{EnvKey: spec.Key, App: m.Name(), Nodes: nodes, Iter: iter, Err: err, Unit: result.Unit}, nil
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,6 +51,11 @@ type study struct {
 	// decides per unit; a refusal falls back to local compute, so
 	// execution never depends on fleet availability.
 	Fleet FleetDelegate
+
+	// jobNames[app][iter] is the scheduler job name of a run ("lammps-0"),
+	// indexed like Spec.Models; built once and shared read-only by every
+	// shard, so a run formats no name.
+	jobNames [][]string
 }
 
 // RunRecord is one application execution in the study dataset.
@@ -108,6 +114,13 @@ func newStudy(r *ResolvedSpec) *study {
 	for _, p := range []cloud.Provider{cloud.AWS, cloud.Azure, cloud.Google} {
 		meter.SetBudget(p, BudgetPerCloudUSD)
 	}
+	jobNames := make([][]string, len(r.Models))
+	for i, m := range r.Models {
+		jobNames[i] = make([]string, r.Iterations)
+		for it := range jobNames[i] {
+			jobNames[i][it] = m.Name() + "-" + strconv.Itoa(it)
+		}
+	}
 	return &study{
 		Spec:     r,
 		Sim:      s,
@@ -116,6 +129,7 @@ func newStudy(r *ResolvedSpec) *study {
 		Builder:  containers.NewBuilder(s, log),
 		Registry: containers.NewRegistry(),
 		Hookup:   network.NewHookupModel(),
+		jobNames: jobNames,
 	}
 }
 

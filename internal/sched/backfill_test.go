@@ -99,3 +99,32 @@ func TestBackfillOffKeepsStrictFIFO(t *testing.T) {
 		t.Fatalf("strict FIFO should not let the filler jump: %v", order)
 	}
 }
+
+// TestBackfillSimultaneousFinishesAreDeterministic pins the head's
+// shadow estimate when two running jobs end at the same instant. a and b
+// both finish at 1h and together free all 100 nodes, so the 60-node head
+// leaves 40 spare then and the 35-node, 2h candidate c may start at once.
+// A walk that stops at the first finish freeing enough nodes reads 100 or
+// 90 free, depending on the running map's iteration order, and at 90 it
+// holds c behind the head until 1h.
+func TestBackfillSimultaneousFinishesAreDeterministic(t *testing.T) {
+	t.Parallel()
+	for run := 0; run < 200; run++ {
+		s, _, sc := newSched(1, Config{Kind: Slurm, Env: "bf", TotalNodes: 100, Backfill: true})
+		c := &Job{Name: "c", Nodes: 35, Duration: 2 * time.Hour}
+		for _, j := range []*Job{
+			{Name: "a", Nodes: 10, Duration: time.Hour},
+			{Name: "b", Nodes: 50, Duration: time.Hour},
+			{Name: "head", Nodes: 60, Duration: time.Hour},
+			c,
+		} {
+			if err := sc.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		s.Run()
+		if c.StartedAt != 0 {
+			t.Fatalf("run %d: c started at %v, want 0s (backfilled beside the head)", run, c.StartedAt)
+		}
+	}
+}

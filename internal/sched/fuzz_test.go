@@ -13,6 +13,8 @@ import (
 // Each fuzz input byte pair encodes one job's shape; whatever the
 // ordering, the engine must conserve nodes, finish every accepted job,
 // and keep per-job timestamps coherent — with backfill both on and off.
+// Every input is replayed on a second fresh scheduler, which must finish
+// the same jobs at the same times: the engine is deterministic.
 func FuzzSubmitOrdering(f *testing.F) {
 	f.Add([]byte{4, 10, 2, 5, 8, 1}, uint8(16), true)
 	f.Add([]byte{1, 1, 1, 1}, uint8(4), false)
@@ -20,6 +22,9 @@ func FuzzSubmitOrdering(f *testing.F) {
 	f.Add([]byte{255, 255, 0, 0}, uint8(32), true)
 	f.Add([]byte{}, uint8(8), false)
 	f.Add([]byte{7}, uint8(8), true)
+	// TestBackfillSimultaneousFinishesAreDeterministic's jobs: two running
+	// jobs finish at the same instant while a candidate waits to backfill.
+	f.Add([]byte{9, 60, 49, 60, 59, 60, 34, 120}, uint8(100), true)
 	f.Fuzz(func(t *testing.T, raw []byte, totalNodes uint8, backfill bool) {
 		nodes := int(totalNodes)
 		if nodes <= 0 {
@@ -28,24 +33,27 @@ func FuzzSubmitOrdering(f *testing.F) {
 		if len(raw) > 64 {
 			raw = raw[:64] // keep the event queue bounded
 		}
-		s := sim.New(7)
-		sc := New(s, trace.NewLog(), Config{
-			Kind: Flux, Env: "fuzz", TotalNodes: nodes, Backfill: backfill,
-		})
-
-		submitted := 0
-		for i := 0; i+1 < len(raw); i += 2 {
-			j := &Job{
-				Name:     "fuzz",
-				Nodes:    int(raw[i]%uint8(min(nodes, 255))) + 1,
-				Duration: time.Duration(raw[i+1]) * time.Minute,
+		replay := func() (*Scheduler, int) {
+			s := sim.New(7)
+			sc := New(s, trace.NewLog(), Config{
+				Kind: Flux, Env: "fuzz", TotalNodes: nodes, Backfill: backfill,
+			})
+			submitted := 0
+			for i := 0; i+1 < len(raw); i += 2 {
+				j := &Job{
+					Name:     "fuzz",
+					Nodes:    int(raw[i]%uint8(min(nodes, 255))) + 1,
+					Duration: time.Duration(raw[i+1]) * time.Minute,
+				}
+				if err := sc.Submit(j); err != nil {
+					continue // oversized asks are rejected up front; fine
+				}
+				submitted++
 			}
-			if err := sc.Submit(j); err != nil {
-				continue // oversized asks are rejected up front; fine
-			}
-			submitted++
+			s.Run()
+			return sc, submitted
 		}
-		s.Run()
+		sc, submitted := replay()
 
 		if sc.FreeNodes() != nodes {
 			t.Fatalf("node leak: %d free of %d after drain", sc.FreeNodes(), nodes)
@@ -69,6 +77,19 @@ func FuzzSubmitOrdering(f *testing.F) {
 			}
 			if j.FinishedAt-j.StartedAt != j.WrapperTime() {
 				t.Fatalf("job %d ran %v, wrapper time %v", j.ID, j.FinishedAt-j.StartedAt, j.WrapperTime())
+			}
+		}
+
+		again, _ := replay()
+		redone := again.Done()
+		if len(redone) != len(done) {
+			t.Fatalf("replay finished %d jobs, first run %d", len(redone), len(done))
+		}
+		for i, j := range done {
+			r := redone[i]
+			if r.ID != j.ID || r.StartedAt != j.StartedAt || r.FinishedAt != j.FinishedAt {
+				t.Fatalf("replay diverged at finish %d: job %d ran %v–%v, first run job %d ran %v–%v",
+					i, r.ID, r.StartedAt, r.FinishedAt, j.ID, j.StartedAt, j.FinishedAt)
 			}
 		}
 	})

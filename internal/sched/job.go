@@ -50,6 +50,11 @@ var ErrNoCapacity = errors.New("sched: job exceeds total cluster capacity")
 
 // Job is one submission. Duration is the application's execution time
 // (computed by an app model); the scheduler adds queue wait and hookup.
+//
+// A submitted job is its own simulator event: the scheduler queues the
+// *Job itself (a sim.Action) for its start and for its finish, so a job
+// that neither stalls nor fails allocates only its submit trace line
+// between Submit and completion.
 type Job struct {
 	ID       int
 	Name     string
@@ -69,6 +74,21 @@ type Job struct {
 	estEnd time.Duration
 	// OnFinish runs when the job completes or fails (after state is set).
 	OnFinish func(*Job)
+
+	// sc is the scheduler the job was submitted to; Fire dispatches to it.
+	sc *Scheduler
+}
+
+// Fire implements sim.Action for the scheduler's own events; callers
+// never call it. A pending job's event is its start (after any queue
+// wait); a running job's is its completion.
+func (j *Job) Fire() {
+	switch j.State {
+	case Pending:
+		j.sc.start(j)
+	case Running:
+		j.sc.finish(j, nil, false)
+	}
 }
 
 // WrapperTime is the workload-manager-visible duration: hookup plus

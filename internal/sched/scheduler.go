@@ -135,6 +135,7 @@ func (sc *Scheduler) Submit(j *Job) error {
 	}
 	sc.next++
 	j.ID = sc.next
+	j.sc = sc
 	j.State = Pending
 	j.SubmittedAt = sc.sim.Now()
 	sc.queue = append(sc.queue, j)
@@ -186,7 +187,7 @@ func (sc *Scheduler) launch(j *Job) {
 	}
 	j.estEnd = sc.sim.Now() + wait + j.WrapperTime()
 	sc.running[j.ID] = j
-	sc.sim.After(wait, func() { sc.start(j) })
+	sc.sim.After(wait, j) // fires start: the job is still pending
 }
 
 // backfill starts later queued jobs that cannot delay the blocked head:
@@ -216,7 +217,9 @@ func (sc *Scheduler) backfill() {
 
 // headEarliestStart estimates when the queue head could start: walk the
 // running jobs' completion times until enough nodes free up. Returns that
-// time and the free nodes available then.
+// time and the free nodes available then. Every finish at one instant is
+// counted before the comparison, so jobs that end together yield the same
+// answer whatever order the running map lists them in.
 func (sc *Scheduler) headEarliestStart(head *Job) (time.Duration, int) {
 	finishes := sc.finishScratch[:0]
 	for _, j := range sc.running {
@@ -225,10 +228,13 @@ func (sc *Scheduler) headEarliestStart(head *Job) (time.Duration, int) {
 	sc.finishScratch = finishes
 	sort.Slice(finishes, func(i, k int) bool { return finishes[i].at < finishes[k].at })
 	free := sc.free
-	for _, f := range finishes {
-		free += f.nodes
+	for i := 0; i < len(finishes); {
+		at := finishes[i].at
+		for ; i < len(finishes) && finishes[i].at == at; i++ {
+			free += finishes[i].nodes
+		}
 		if free >= head.Nodes {
-			return f.at, free
+			return at, free
 		}
 	}
 	// Head can start now or the estimate is unknowable; be conservative.
@@ -241,11 +247,11 @@ func (sc *Scheduler) start(j *Job) {
 		j.State = Stalled
 		sc.log.Addf(sc.sim.Now(), sc.cfg.Env, trace.Manual, trace.Unexpected,
 			"%s: job %d %q stalled at start; monitoring required", sc.cfg.Kind, j.ID, j.Name)
-		sc.sim.After(sc.cfg.StallNoticeDelay, func() {
+		sc.sim.After(sc.cfg.StallNoticeDelay, sim.Func(func() {
 			sc.log.Addf(sc.sim.Now(), sc.cfg.Env, trace.Manual, trace.Unexpected,
 				"%s: kicked stalled job %d", sc.cfg.Kind, j.ID)
 			sc.run(j)
-		})
+		}))
 		return
 	}
 	sc.run(j)
@@ -263,21 +269,21 @@ func (sc *Scheduler) run(j *Job) {
 	if sc.cfg.BadNodeProb > 0 && sc.rng.Bernoulli(sc.cfg.BadNodeProb) {
 		// Job dies partway through on a bad node.
 		dur = time.Duration(sc.rng.Uniform(0.1, 0.9) * float64(dur))
-		sc.sim.After(dur, func() {
+		sc.sim.After(dur, sim.Func(func() {
 			sc.finish(j, fmt.Errorf("sched: job %d died on a bad node", j.ID), true)
-		})
+		}))
 		return
 	}
 	if sc.faults != nil {
 		if frac, requeue, ok := sc.faults.JobFault(j.Name, j.Nodes, dur); ok {
 			cut := time.Duration(frac * float64(dur))
-			sc.sim.After(cut, func() {
+			sc.sim.After(cut, sim.Func(func() {
 				sc.finish(j, fmt.Errorf("%w: job %d %q", ErrPreempted, j.ID, j.Name), requeue)
-			})
+			}))
 			return
 		}
 	}
-	sc.sim.After(dur, func() { sc.finish(j, nil, false) })
+	sc.sim.After(dur, j) // fires finish: the job is now running
 }
 
 // finish completes or fails a job, freeing nodes and — when requeue is

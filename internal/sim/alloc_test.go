@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"time"
+)
 
 // Allocation-regression pins for the draw helpers: application models
 // call them once per simulated run, so any allocation here multiplies
@@ -33,6 +36,34 @@ func TestPermIntoAllocs(t *testing.T) {
 	buf := make([]int, 256)
 	if got := testing.AllocsPerRun(100, func() { buf = s.PermInto(buf, 256) }); got > 0 {
 		t.Errorf("PermInto with a full-size buffer allocates %.1f/op, want 0", got)
+	}
+}
+
+// counter is a pointer Action, the shape of a type that is its own
+// pending event.
+type counter struct{ fired int }
+
+func (c *counter) Fire() { c.fired++ }
+
+// TestPointerActionAllocs pins the event path every simulated job takes:
+// once the freelist holds an Event, scheduling a pointer Action and
+// firing it allocate nothing.
+func TestPointerActionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are off under -race")
+	}
+	s := New(42)
+	c := &counter{}
+	s.After(time.Second, c)
+	s.Run() // warms the freelist
+	if got := testing.AllocsPerRun(200, func() {
+		s.After(time.Second, c)
+		s.Run()
+	}); got > 0 {
+		t.Errorf("scheduling and firing a pointer Action allocates %.1f/op, want 0", got)
+	}
+	if c.fired != 202 { // the warm-up above, AllocsPerRun's own, and 200 runs
+		t.Errorf("the action fired %d times, want 202", c.fired)
 	}
 }
 

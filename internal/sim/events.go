@@ -5,13 +5,25 @@ import (
 	"time"
 )
 
-// Event is a unit of scheduled work in the simulation. Fn runs when the
-// clock reaches At. Events at the same virtual time run in the order they
-// were scheduled (FIFO), which keeps simulations deterministic. An event
-// carries no label, so scheduling one builds no string.
+// Action is the work an event does when the clock reaches it. A type
+// that is its own pending event (a scheduled job, say) implements Fire
+// on a pointer, so scheduling it allocates nothing; Func adapts a
+// closure for the call sites that need one.
+type Action interface{ Fire() }
+
+// Func adapts an ordinary function to an Action.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// Event is a unit of scheduled work in the simulation. Action fires when
+// the clock reaches At. Events at the same virtual time fire in the order
+// they were scheduled (FIFO), which keeps simulations deterministic. An
+// event carries no label, so scheduling one builds no string.
 type Event struct {
-	At time.Duration
-	Fn func()
+	At     time.Duration
+	Action Action
 
 	seq int // tie-breaker: insertion order
 }
@@ -44,13 +56,14 @@ type EventQueue struct {
 	seq int
 
 	// free recycles executed Event structs (Simulation.Step returns them
-	// via recycle once their Fn has run); a steady-state simulation then
-	// allocates one Event per level of queue depth, not one per schedule.
+	// via recycle once their Action has fired); a steady-state simulation
+	// then allocates one Event per level of queue depth, not one per
+	// schedule.
 	free []*Event
 }
 
-// Schedule enqueues fn to run at virtual time at.
-func (q *EventQueue) Schedule(at time.Duration, fn func()) {
+// Schedule enqueues a to fire at virtual time at.
+func (q *EventQueue) Schedule(at time.Duration, a Action) {
 	q.seq++
 	var e *Event
 	if n := len(q.free); n > 0 {
@@ -58,13 +71,13 @@ func (q *EventQueue) Schedule(at time.Duration, fn func()) {
 	} else {
 		e = new(Event)
 	}
-	*e = Event{At: at, Fn: fn, seq: q.seq}
+	*e = Event{At: at, Action: a, seq: q.seq}
 	heap.Push(&q.h, e)
 }
 
 // recycle returns an executed event to the freelist. Only safe once no
-// caller retains the pointer — Simulation.Step calls it after running Fn;
-// external Pop callers simply never feed the freelist.
+// caller retains the pointer — Simulation.Step calls it after firing the
+// Action; external Pop callers simply never feed the freelist.
 func (q *EventQueue) recycle(e *Event) {
 	*e = Event{}
 	q.free = append(q.free, e)

